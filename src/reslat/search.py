@@ -1,14 +1,25 @@
 """Exhaustive model search over small carriers.
 
 Enumerates bounded lattices up to isomorphism, then every residuated
-product each one admits, again up to isomorphism.  Two fill strategies
-are kept deliberately distinct so their results can be compared: the
-pruned walk cuts candidates with order facts every valid table obeys
-(a product never exceeds the meet, and is monotone in both arguments),
-while the direct walk tries every value and filters at the end.  Both
-must land on identical algebras; the stats record how much work each
-spent.  A predicate language over the classification verdicts turns the
-walk into a counterexample miner.
+product each one admits, again up to isomorphism.
+
+Lattices are generated naturally labelled only: every bounded poset has
+a linear extension, so it suffices to try orders in which x <= y
+implies x < y as integers.  Each lattice found is keyed by the least of
+its relabellings under all permutations of the middle elements, so the
+key set, and the sorted result, is the same as from trying every order.
+
+Two fill strategies are kept deliberately distinct so their results can
+be compared: the pruned walk cuts candidates with order facts every
+valid table obeys (a product never exceeds the meet, and is monotone in
+both arguments), while the direct walk tries every value and filters at
+the end.  Monotonicity is checked by interval pruning: the cells filled
+earlier that lie below the current cell in the product order bound its
+value from below by the join of their values, those above it bound it
+from above by the meet, and a candidate survives exactly when it lies
+in that interval.  Both strategies must land on identical algebras; the
+stats record how much work each spent.  A predicate language over the
+classification verdicts turns the walk into a counterexample miner.
 """
 
 from __future__ import annotations
@@ -106,16 +117,12 @@ def _tables_from_cover(n: int, up: list[int], down: list[int]):
     return tuple(map(tuple, join)), tuple(map(tuple, meet))
 
 
-def _relabel_tables(tables, perm, n: int):
-    """Tables of the relabeled structure under old-to-new map perm."""
-    out = []
-    for t in tables:
-        new = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                new[perm[x]][perm[y]] = perm[t[x][y]]
-        out.append(tuple(map(tuple, new)))
-    return tuple(out)
+def _relabel(table, perm):
+    """The table of the relabeled structure under old-to-new map perm."""
+    inv = [0] * len(perm)
+    for old, new in enumerate(perm):
+        inv[new] = old
+    return tuple(tuple(perm[table[a][b]] for b in inv) for a in inv)
 
 
 def _middle_perms(n: int):
@@ -138,8 +145,11 @@ def enumerate_lattices(n: int) -> tuple[LatticeSkeleton, ...]:
         return (LatticeSkeleton(1, ((0,),), ((0,),)),)
     mids = range(1, n - 1)
     pairs = [(x, y) for x in mids for y in mids if x < y]
-    found: dict[tuple, tuple] = {}
-    for choice in product(range(3), repeat=len(pairs)):
+    perms = tuple(_middle_perms(n))
+    seen: set = set()
+    found = []
+    # Natural labelling: each pair is either x <= y or incomparable.
+    for choice in product(range(2), repeat=len(pairs)):
         up = [0] * n
         down = [0] * n
         up[0] = (1 << n) - 1
@@ -150,12 +160,9 @@ def enumerate_lattices(n: int) -> tuple[LatticeSkeleton, ...]:
         up[n - 1] = 1 << (n - 1)
         down[0] = 1
         for (x, y), c in zip(pairs, choice):
-            if c == 1:
+            if c:
                 up[x] |= 1 << y
                 down[y] |= 1 << x
-            elif c == 2:
-                up[y] |= 1 << x
-                down[x] |= 1 << y
         transitive = all(
             up[y] & ~up[x] == 0
             for x in mids for y in mids if x != y and up[x] >> y & 1)
@@ -164,10 +171,17 @@ def enumerate_lattices(n: int) -> tuple[LatticeSkeleton, ...]:
         tables = _tables_from_cover(n, up, down)
         if tables is None:
             continue
-        best = min(_relabel_tables(tables, p, n) for p in _middle_perms(n))
-        found.setdefault(best, best)
-    return tuple(LatticeSkeleton(n, jn, mt)
-                 for jn, mt in (found[k] for k in sorted(found)))
+        join, meet = tables
+        if join in seen:
+            continue
+        # The join table fixes the order, hence the meet table too, so
+        # the least (join, meet) relabeling is the one with least join.
+        orbit = {_relabel(join, p): p for p in perms}
+        seen.update(orbit)
+        key = min(orbit)
+        found.append((key, _relabel(meet, orbit[key])))
+    found.sort()
+    return tuple(LatticeSkeleton(n, jn, mt) for jn, mt in found)
 
 
 @lru_cache(maxsize=None)
@@ -175,11 +189,9 @@ def skeleton_automorphisms(skel: LatticeSkeleton) -> tuple[tuple[int, ...], ...]
     n = skel.n
     if n == 1:
         return ((0,),)
-    out = []
-    for p in _middle_perms(n):
-        if _relabel_tables((skel.join, skel.meet), p, n) == (skel.join, skel.meet):
-            out.append(p)
-    return tuple(out)
+    return tuple(p for p in _middle_perms(n)
+                 if _relabel(skel.join, p) == skel.join
+                 and _relabel(skel.meet, p) == skel.meet)
 
 
 # -- residuated products on a skeleton -------------------------------------
@@ -195,132 +207,173 @@ def _down_masks(skel: LatticeSkeleton) -> tuple[int, ...]:
         sum(1 << v for v in range(n) if skel.leq(v, x)) for x in range(n))
 
 
-def _assemble(n: int, cells, vals) -> list[list[int]]:
-    prod_t = [[0] * n for _ in range(n)]
-    top = n - 1
-    for i in range(n):
-        prod_t[i][top] = i
-        prod_t[top][i] = i
-    for (x, y), v in zip(cells, vals):
-        prod_t[x][y] = v
-        prod_t[y][x] = v
-    return prod_t
+class _Fill:
+    """One skeleton's fill, worked out once: the free cells and their
+    candidate values, each cell's earlier neighbours in the product
+    order, the order as bitmasks, and the residuals of the product rows
+    met so far."""
+
+    def __init__(self, skel: LatticeSkeleton, strategy: str):
+        n = skel.n
+        self.skel = skel
+        self.pruning = strategy == "pruned"
+        self.down = down = _down_masks(skel)
+        self.principal = {mask: x for x, mask in enumerate(down)}
+        self.cells = cells = _cells(n)
+        if not self.pruning:
+            self.cand = (tuple(range(n)),) * len(cells)
+        else:
+            def below(c, d):
+                # Either pairing counts, since the product is commutative.
+                (a, b), (x, y) = c, d
+                return (down[x] >> a & 1 and down[y] >> b & 1
+                        or down[y] >> a & 1 and down[x] >> b & 1)
+
+            self.lower = tuple(
+                tuple(j for j in range(i) if below(cells[j], c))
+                for i, c in enumerate(cells))
+            self.upper = tuple(
+                tuple(j for j in range(i) if below(c, cells[j]))
+                for i, c in enumerate(cells))
+            self.cand = tuple(
+                tuple(v for v in range(n) if down[skel.meet[x][y]] >> v & 1)
+                for x, y in cells)
+            # fits[i][lo][hi]: the candidates v of cell i with lo <= v <= hi
+            self.fits = tuple(
+                tuple(tuple(tuple(v for v in cand if down[v] >> lo & 1
+                                  and down[hi] >> v & 1)
+                            for hi in range(n))
+                      for lo in range(n))
+                for cand in self.cand)
+        self.residuals: dict = {}
 
 
-def _residual_table(skel: LatticeSkeleton, prod_t):
+def _interval(fill: _Fill, i: int, vals) -> tuple[int, int]:
+    """The (lo, hi) bounds monotonicity puts on cell i given the values
+    of the earlier cells: the join of those below it and the meet of
+    those above it.  A value v clashes with no earlier cell exactly when
+    lo <= v <= hi."""
+    join, meet = fill.skel.join, fill.skel.meet
+    lo = 0
+    for j in fill.lower[i]:
+        lo = join[lo][vals[j]]
+    hi = fill.skel.n - 1
+    for j in fill.upper[i]:
+        hi = meet[hi][vals[j]]
+    return lo, hi
+
+
+def _row_residual(fill: _Fill, row):
+    """Given row y of the product, the row z -> (y -> z) of the
+    implication, or None when some {x : x*y <= z} is not a principal
+    down-set, that is when x -> x*y has no residual."""
+    key = tuple(row)
+    try:
+        return fill.residuals[key]
+    except KeyError:
+        pass
+    out = []
+    for dz in fill.down:
+        below_z = 0
+        for x, w in enumerate(key):
+            if dz >> w & 1:
+                below_z |= 1 << x
+        best = fill.principal.get(below_z)
+        if best is None:
+            out = None
+            break
+        out.append(best)
+    fill.residuals[key] = None if out is None else tuple(out)
+    return fill.residuals[key]
+
+
+def _residual_table(fill: _Fill, prod_t):
     """The implication table, or None when some residual is missing."""
-    n = skel.n
-    down = _down_masks(skel)
-    impl_t = [[0] * n for _ in range(n)]
-    for y in range(n):
-        for z in range(n):
-            cand = 0
-            for x in range(n):
-                if skel.leq(prod_t[x][y], z):
-                    cand |= 1 << x
-            best = next((x for x in range(n)
-                         if cand >> x & 1 and cand & ~down[x] == 0), None)
-            if best is None:
-                return None
-            impl_t[y][z] = best
-    return tuple(map(tuple, impl_t))
+    impl_t = tuple(_row_residual(fill, row) for row in prod_t)
+    return None if None in impl_t else impl_t
 
 
-def _table_ok(skel: LatticeSkeleton, prod_t) -> bool:
-    n = skel.n
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if prod_t[prod_t[x][y]][z] != prod_t[x][prod_t[y][z]]:
-                    return False
-    impl_t = _residual_table(skel, prod_t)
-    if impl_t is None:
-        return False
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if skel.leq(prod_t[x][y], z) != skel.leq(x, impl_t[y][z]):
+def _table_ok(fill: _Fill, prod_t) -> bool:
+    """Is the filled commutative table with the top as unit residuated
+    and associative?  Decides both in full.  Row top is the identity,
+    which always has a residual.  A residuated product has the bottom
+    absorbing (x*0 <= z for every z), so associativity holds on every
+    triple through the bottom or the unit.  Under commutativity the
+    triples (x, y, z) and (z, y, x) give one equation, so z starts at x."""
+    n = fill.skel.n
+    for y in range(n - 1):
+        if _row_residual(fill, prod_t[y]) is None:
+            return False
+    mids = range(1, n - 1)
+    for x in mids:
+        px = prod_t[x]
+        for y in mids:
+            pxy = prod_t[px[y]]
+            py = prod_t[y]
+            for z in range(x, n - 1):
+                if pxy[z] != px[py[z]]:
                     return False
     return True
 
 
-def _candidates(skel: LatticeSkeleton, cells, strategy: str):
-    """Per-cell candidate values, widest first so both strategies walk
-    values in the same order they share."""
-    n = skel.n
-    down = _down_masks(skel)
-    out = []
-    for (x, y) in cells:
-        if strategy == "pruned":
-            bound = down[skel.meet[x][y]]
-            out.append(tuple(v for v in range(n) if bound >> v & 1))
-        else:
-            out.append(tuple(range(n)))
-    return out
-
-
-def _monotone_clash(skel: LatticeSkeleton, cells, vals, idx: int, v: int) -> bool:
-    """Does assigning v at cells[idx] contradict monotonicity against
-    earlier cells?  Commutativity makes either pairing count."""
-    x, y = cells[idx]
-    for j in range(idx):
-        a, b = cells[j]
-        w = vals[j]
-        if (skel.leq(a, x) and skel.leq(b, y)) or \
-                (skel.leq(a, y) and skel.leq(b, x)):
-            if not skel.leq(w, v):
-                return True
-        if (skel.leq(x, a) and skel.leq(y, b)) or \
-                (skel.leq(x, b) and skel.leq(y, a)):
-            if not skel.leq(v, w):
-                return True
-    return False
-
-
-def _walk(skel, cells, cand, vals, start, stop_depth, strategy, out_tables):
-    """Depth-first fill from cell ``start`` down to ``stop_depth``; at
+def _walk(fill: _Fill, prefix, stop_depth, out_tables):
+    """Depth-first fill from the given prefix down to ``stop_depth``; at
     that depth the assignment is recorded (full tables get validated
     first).  Returns (examined, pruned)."""
-    n = skel.n
+    n = fill.skel.n
+    cells, cand = fill.cells, fill.cand
+    pruning = fill.pruning
+    fits = fill.fits if pruning else None
+    full = stop_depth == len(cells)
+    top = n - 1
+    # One product table per walk: each cell is written when assigned,
+    # so at a leaf the table holds exactly the current assignment.
+    prod_t = [[0] * n for _ in range(n)]
+    for i in range(n):
+        prod_t[i][top] = i
+        prod_t[top][i] = i
+    vals = [0] * len(cells)
+    for i, v in enumerate(prefix):
+        x, y = cells[i]
+        prod_t[x][y] = prod_t[y][x] = vals[i] = v
     examined = 0
     pruned = 0
-    full = stop_depth == len(cells)
 
     def rec(i):
         nonlocal examined, pruned
         if i == stop_depth:
             if full:
                 examined += 1
-                prod_t = _assemble(n, cells, vals)
-                if _table_ok(skel, prod_t):
+                if _table_ok(fill, prod_t):
                     out_tables.append(tuple(map(tuple, prod_t)))
             else:
-                out_tables.append(tuple(vals))
+                out_tables.append(tuple(vals[:i]))
             return
-        for v in cand[i]:
-            if strategy == "pruned" and _monotone_clash(skel, cells, vals, i, v):
-                pruned += 1
-                continue
-            vals.append(v)
+        values = cand[i]
+        if pruning:
+            lo, hi = _interval(fill, i, vals)
+            fit = fits[i][lo][hi]
+            pruned += len(values) - len(fit)
+            values = fit
+        x, y = cells[i]
+        row_x, row_y = prod_t[x], prod_t[y]
+        for v in values:
+            row_x[y] = row_y[x] = vals[i] = v
             rec(i + 1)
-            vals.pop()
 
-    rec(start)
+    rec(len(prefix))
     return examined, pruned
 
 
 def _complete_prefix(args):
     """Worker task: finish every table extending the given prefixes."""
     n, join, meet, strategy, prefixes = args
-    skel = LatticeSkeleton(n, join, meet)
-    cells = _cells(n)
-    cand = _candidates(skel, cells, strategy)
+    fill = _Fill(LatticeSkeleton(n, join, meet), strategy)
     tables = []
     examined = 0
     pruned = 0
     for prefix in prefixes:
-        ex, pr = _walk(skel, cells, cand, list(prefix), len(prefix),
-                       len(cells), strategy, tables)
+        ex, pr = _walk(fill, prefix, len(fill.cells), tables)
         examined += ex
         pruned += pr
     return examined, pruned, tables
@@ -328,21 +381,12 @@ def _complete_prefix(args):
 
 def _canonical_product(skel: LatticeSkeleton, prod_t):
     """Least relabeling of the table under the skeleton automorphisms."""
-    n = skel.n
-    best = None
-    for p in skeleton_automorphisms(skel):
-        new = [[0] * n for _ in range(n)]
-        for x in range(n):
-            for y in range(n):
-                new[p[x]][p[y]] = p[prod_t[x][y]]
-        t = tuple(map(tuple, new))
-        if best is None or t < best:
-            best = t
-    return best
+    return min(_relabel(prod_t, p) for p in skeleton_automorphisms(skel))
 
 
-def _build_algebra(skel: LatticeSkeleton, prod_t) -> ResiduatedLattice:
-    impl_t = _residual_table(skel, prod_t)
+def _build_algebra(fill: _Fill, prod_t) -> ResiduatedLattice:
+    skel = fill.skel
+    impl_t = _residual_table(fill, prod_t)
     if impl_t is None:
         raise InternalCheckError("emitted table lost its residuals")
     try:
@@ -367,17 +411,15 @@ def enumerate_residuated(skel: LatticeSkeleton, jobs: int = 1,
     if jobs < 1:
         raise PreconditionError("jobs must be at least 1")
     n = skel.n
-    cells = _cells(n)
-    cand = _candidates(skel, cells, strategy)
+    fill = _Fill(skel, strategy)
+    cells = fill.cells
     tables: list = []
     if jobs == 1 or len(cells) < 2:
-        examined, pruned = _walk(skel, cells, cand, [], 0, len(cells),
-                                 strategy, tables)
+        examined, pruned = _walk(fill, (), len(cells), tables)
     else:
         split = min(2, len(cells))
         prefixes: list = []
-        _, pruned_prefix = _walk(skel, cells, cand, [], 0, split,
-                                 strategy, prefixes)
+        _, pruned_prefix = _walk(fill, (), split, prefixes)
         chunks = [prefixes[i::jobs] for i in range(jobs)]
         examined = 0
         pruned = pruned_prefix
@@ -400,7 +442,7 @@ def enumerate_residuated(skel: LatticeSkeleton, jobs: int = 1,
                         found - len(emitted))
     if stats.found != stats.emitted + stats.iso_rejected:
         raise InternalCheckError("search stats fail to balance")
-    algebras = tuple(_build_algebra(skel, t) for t in emitted)
+    algebras = tuple(_build_algebra(fill, t) for t in emitted)
     return algebras, stats
 
 

@@ -8,7 +8,7 @@ small bundled algebras.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 
 def make(names, join, meet, prod, impl, bottom, top):
@@ -253,6 +253,37 @@ def bounded_lattices(n):
         if key not in found:
             found[key] = rel
     return [found[k] for k in sorted(found)]
+
+
+def three_way_lattices(n):
+    """All bounded lattices on 0..n-1 up to isomorphism as sorted
+    (join, meet) pairs, each the least relabeling under permutations
+    fixing bottom and top.
+
+    Every pair x < y of middle elements is tried three ways: x <= y,
+    y <= x, or incomparable, so no labelling is assumed.  Feasible for
+    n <= 6.
+    """
+    mids = range(1, n - 1)
+    pairs = [(x, y) for x in mids for y in mids if x < y]
+    base = {(x, x) for x in range(n)}
+    base |= {(0, x) for x in range(n)}
+    base |= {(x, n - 1) for x in range(n)}
+    perms = [p for p in permutations(range(n)) if p[0] == 0 and p[-1] == n - 1]
+    found = set()
+    for choice in product(range(3), repeat=len(pairs)):
+        rel = set(base)
+        for (x, y), c in zip(pairs, choice):
+            if c == 1:
+                rel.add((x, y))
+            elif c == 2:
+                rel.add((y, x))
+        if not _lattice_ok(frozenset(rel), n):
+            continue
+        join, meet = rel_to_tables(rel, n)
+        found.add(min((relabel_table(join, p, n), relabel_table(meet, p, n))
+                      for p in perms))
+    return sorted(found)
 
 
 def canonical_order_key(rel, n):

@@ -3,6 +3,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 import tables as tb
@@ -11,6 +12,8 @@ from reslat import PreconditionError
 from reslat.classify import classification, is_weakly_disjunctive
 from reslat.search import (
     LatticeSkeleton,
+    _Fill,
+    _interval,
     canonical_form,
     enumerate_lattices,
     enumerate_residuated,
@@ -30,6 +33,12 @@ def test_seven_element_lattice_count():
     assert len(enumerate_lattices(7)) == 53
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_natural_labelling_matches_three_way_orders(n):
+    ours = [(sk.join, sk.meet) for sk in enumerate_lattices(n)]
+    assert ours == bf.three_way_lattices(n)
+
+
 def test_carrier_bounds():
     with pytest.raises(PreconditionError):
         enumerate_lattices(0)
@@ -42,11 +51,63 @@ def test_carrier_bounds():
     (3, 2, (2,)),
     (4, 7, (1, 6)),
     (5, 26, (0, 0, 1, 3, 22)),
+    (6, 129, (0,) * 8 + (1, 2, 3, 4, 12, 13, 94)),
+    (7, 723, (0,) * 35 + (1, 1, 1, 2, 2, 2, 3, 4, 5, 9, 11, 12, 24, 27, 53,
+                          55, 60, 451)),
 ])
 def test_residuated_counts_frozen(n, expected_total, expected_multiset):
     per = sorted(len(enumerate_residuated(sk)[0]) for sk in enumerate_lattices(n))
     assert tuple(per) == expected_multiset
     assert sum(per) == expected_total
+
+
+# (lattices, (examined, pruned, found, emitted, iso_rejected)) per
+# carrier size: any change to the walk's tree or its pruning shows here.
+@pytest.mark.parametrize("n,lattices,counts", [
+    (1, 1, (1, 0, 1, 1, 0)),
+    (2, 1, (1, 0, 1, 1, 0)),
+    (3, 1, (2, 0, 2, 2, 0)),
+    (4, 2, (11, 4, 7, 7, 0)),
+    (5, 5, (118, 114, 27, 26, 1)),
+    (6, 15, (2589, 3843, 142, 129, 13)),
+    (7, 53, (122686, 218799, 839, 723, 116)),
+])
+def test_walk_counters_frozen(n, lattices, counts):
+    res = mine("true", n, n_min=n)
+    s = res.stats
+    assert res.lattices == lattices
+    assert (s.examined, s.pruned, s.found, s.emitted, s.iso_rejected) == counts
+
+
+def _pairwise_clash(skel, cells, vals, i, v):
+    """Does v at cells[i] break monotonicity against some earlier cell,
+    under either pairing of the arguments?"""
+    x, y = cells[i]
+    for (a, b), w in zip(cells[:i], vals):
+        below = (skel.leq(a, x) and skel.leq(b, y)) or \
+            (skel.leq(a, y) and skel.leq(b, x))
+        above = (skel.leq(x, a) and skel.leq(y, b)) or \
+            (skel.leq(x, b) and skel.leq(y, a))
+        if (below and not skel.leq(w, v)) or (above and not skel.leq(v, w)):
+            return True
+    return False
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_interval_prune_matches_pairwise_scan(data):
+    n = data.draw(st.integers(2, 6))
+    skel = data.draw(st.sampled_from(enumerate_lattices(n)))
+    fill = _Fill(skel, "pruned")
+    i = data.draw(st.integers(0, len(fill.cells) - 1))
+    vals = data.draw(st.lists(st.integers(0, n - 1), min_size=i, max_size=i))
+    lo, hi = _interval(fill, i, vals)
+    for v in range(n):
+        clash = _pairwise_clash(skel, fill.cells, vals, i, v)
+        assert (skel.leq(lo, v) and skel.leq(v, hi)) == (not clash)
+    assert fill.fits[i][lo][hi] == tuple(
+        v for v in fill.cand[i]
+        if not _pairwise_clash(skel, fill.cells, vals, i, v))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
