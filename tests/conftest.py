@@ -1,9 +1,18 @@
 from __future__ import annotations
 
+import functools
+import sys
+from pathlib import Path
+
 import pytest
 
 import tables as tb
 from reslat import validate
+from reslat.search import mine
+
+# The benchmark's input generators (luk, godel, boolean) are shared with
+# the tests rather than written twice.
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
 
 def build(spec):
@@ -52,3 +61,10 @@ def mask_of(alg, *names):
 
 def set_of(alg, mask):
     return frozenset(i for i in range(alg.n) if mask >> i & 1)
+
+
+@functools.cache
+def catalog5():
+    """Every residuated lattice on at most five elements, up to
+    isomorphism, in search order (37 algebras)."""
+    return mine("true", 5).matches
