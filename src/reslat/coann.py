@@ -8,8 +8,8 @@ order reduct induce filters of elements with a join-complement witness
 in the ideal; those form a bounded distributive lattice.
 
 Several maps here are many-to-one (different ideals can induce the same
-filter), so canonical representatives are fixed and every identity that
-depends on a representative is verified rather than assumed.
+filter), so canonical representatives are fixed: the join of omega
+filters goes through the largest ideal inducing each operand.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ from .filters import (
     TAG_OMEGA,
     FilterFamily,
     all_filters,
-    generated_filter,
     is_filter,
 )
 from .subsets import contains, elements, singleton, sort_family
-from .views import LatticeView, build_view, is_boolean, is_distributive, is_sublattice
+from .views import LatticeView, build_view, is_distributive
 
 
 @lru_cache(maxsize=None)
@@ -43,44 +42,17 @@ def coannulet(alg: ResiduatedLattice, x: int) -> int:
 
 @lru_cache(maxsize=None)
 def coannihilator(alg: ResiduatedLattice, mask: int) -> int:
-    """Elements joining every member of the subset to top.
-
-    Computed as the intersection of member coannulets; cross-checked
-    against the direct scan and against invariance under filter
-    generation, both of which must agree by construction or theorem.
-    """
+    """Elements joining every member of the subset to top: the
+    intersection of the member coannulets."""
     out = alg.universe
     for x in elements(mask):
         out &= coannulet(alg, x)
-
-    direct = 0
-    for a in range(alg.n):
-        if all(alg.join[a][x] == alg.top for x in elements(mask)):
-            direct |= singleton(a)
-    if out != direct:
-        raise InternalCheckError("coannihilator computations disagree")
-
-    gen = alg.universe
-    for x in elements(generated_filter(alg, mask)):
-        gen &= coannulet(alg, x)
-    if gen != out:
-        raise InternalCheckError(
-            f"coannihilator of {alg.subset_str(mask)} differs from its generated filter's")
-
-    if not is_filter(alg, out):
-        raise InternalCheckError(f"coannihilator {alg.subset_str(out)} is not a filter")
     return out
 
 
 def double_coannihilator(alg: ResiduatedLattice, mask: int) -> int:
-    """Coannihilator of the coannihilator, with the closure laws asserted."""
-    perp = coannihilator(alg, mask)
-    out = coannihilator(alg, perp)
-    if mask & ~out:
-        raise InternalCheckError("double coannihilator fails to contain the subset")
-    if perp & out != singleton(alg.top):
-        raise InternalCheckError("coannihilator meets its double beyond top")
-    return out
+    """Coannihilator of the coannihilator."""
+    return coannihilator(alg, coannihilator(alg, mask))
 
 
 def pseudocomplement_check(alg: ResiduatedLattice, f_mask: int) -> bool:
@@ -106,11 +78,7 @@ def coannulet_family(alg: ResiduatedLattice) -> FilterFamily:
 
 @lru_cache(maxsize=None)
 def coannihilator_family(alg: ResiduatedLattice) -> FilterFamily:
-    """All coannihilators, via intersection closure of the coannulets.
-
-    The closure route is cross-checked against the definitional scan
-    over every subset of the carrier.
-    """
+    """All coannihilators: the intersection closure of the coannulets."""
     closure = {alg.universe}
     closure.update(coannulet_family(alg).members)
     changed = True
@@ -121,10 +89,6 @@ def coannihilator_family(alg: ResiduatedLattice) -> FilterFamily:
                 if u & v not in closure:
                     closure.add(u & v)
                     changed = True
-
-    by_scan = {coannihilator(alg, m) for m in range(alg.universe + 1)}
-    if closure != by_scan:
-        raise InternalCheckError("coannihilator family routes disagree")
     return FilterFamily(sort_family(closure), TAG_COANNIHILATOR)
 
 
@@ -132,31 +96,19 @@ def coannihilator_family(alg: ResiduatedLattice) -> FilterFamily:
 def coannulet_lattice(alg: ResiduatedLattice) -> LatticeView:
     """Coannulets with intersection meet and join through representatives.
 
-    The join of the coannulets of x and y is the coannulet of x v y;
-    well-definedness over the choice of representatives is verified.
+    The join of the coannulets of x and y is the coannulet of x v y,
+    whichever representatives x and y are taken.
     """
     fam = coannulet_family(alg)
     reps: dict[int, list[int]] = {m: [] for m in fam}
     for x in range(alg.n):
         reps[coannulet(alg, x)].append(x)
 
-    for m, xs in reps.items():
-        for y in range(alg.n):
-            images = {coannulet(alg, alg.join[x][y]) for x in xs}
-            if len(images) != 1:
-                raise InternalCheckError(
-                    "coannulet join depends on the choice of representative")
-
     def jn(u, v):
         return coannulet(alg, alg.join[reps[u][0]][reps[v][0]])
 
     def mt(u, v):
-        out = u & v
-        # intersection of coannulets is the coannulet of the product
-        prod_route = coannulet(alg, alg.prod[reps[u][0]][reps[v][0]])
-        if out != prod_route:
-            raise InternalCheckError("coannulet meet routes disagree")
-        return out
+        return u & v
 
     return build_view("coannulets", fam.members, jn, mt)
 
@@ -173,12 +125,7 @@ def coannihilator_lattice(alg: ResiduatedLattice) -> LatticeView:
     def mt(u, v):
         return u & v
 
-    view = build_view("coannihilators", fam.members, jn, mt)
-    if not is_boolean(view):
-        raise InternalCheckError("coannihilator lattice fails its complementation laws")
-    if not is_sublattice(coannulet_lattice(alg), view):
-        raise InternalCheckError("coannulets do not embed in the coannihilators")
-    return view
+    return build_view("coannihilators", fam.members, jn, mt)
 
 
 # -- lattice ideals and omega filters --------------------------------------
@@ -223,9 +170,6 @@ def all_ideals(alg: ResiduatedLattice) -> tuple[int, ...]:
                 if j not in found:
                     found.add(j)
                     frontier.append(j)
-    for i in found:
-        if not is_lattice_ideal(alg, i):
-            raise InternalCheckError("ideal enumeration produced a non-ideal")
     return sort_family(found)
 
 
@@ -234,24 +178,13 @@ def ideal_join(alg: ResiduatedLattice, i: int, j: int) -> int:
 
 
 def omega_filter(alg: ResiduatedLattice, ideal_mask: int) -> int:
-    """Elements with a join-complement witness in the ideal.
-
-    The result is the union of coannulets over the ideal's members and
-    always comes out a filter; both facts are checked.
-    """
+    """Elements with a join-complement witness in the ideal: the union
+    of coannulets over the ideal's members, always a filter."""
     if not is_lattice_ideal(alg, ideal_mask):
         raise PreconditionError(f"not a lattice ideal: {alg.subset_str(ideal_mask)}")
     out = 0
     for x in elements(ideal_mask):
         out |= coannulet(alg, x)
-    direct = 0
-    for a in range(alg.n):
-        if any(alg.join[a][x] == alg.top for x in elements(ideal_mask)):
-            direct |= singleton(a)
-    if out != direct:
-        raise InternalCheckError("omega filter routes disagree")
-    if not is_filter(alg, out):
-        raise InternalCheckError(f"omega image {alg.subset_str(out)} is not a filter")
     return out
 
 
@@ -263,19 +196,14 @@ def omega_family(alg: ResiduatedLattice) -> FilterFamily:
 
 @lru_cache(maxsize=None)
 def canonical_ideal_of(alg: ResiduatedLattice, f_mask: int) -> int:
-    """The largest ideal inducing the given omega filter.
-
-    The union of all such ideals must itself be an ideal inducing the
-    same filter; that is verified, not assumed.
-    """
+    """The largest ideal inducing the given omega filter: the union of
+    all ideals inducing it, itself an ideal inducing the same filter."""
     sources = [i for i in all_ideals(alg) if omega_filter(alg, i) == f_mask]
     if not sources:
         raise PreconditionError(f"{alg.subset_str(f_mask)} is not an omega filter")
     union = 0
     for i in sources:
         union |= i
-    if not is_lattice_ideal(alg, union) or omega_filter(alg, union) != f_mask:
-        raise InternalCheckError("union of source ideals is not a canonical source")
     return union
 
 
@@ -283,31 +211,16 @@ def canonical_ideal_of(alg: ResiduatedLattice, f_mask: int) -> int:
 def omega_filter_lattice(alg: ResiduatedLattice) -> LatticeView:
     """Omega filters: meet is intersection, join through canonical ideals.
 
-    Representative independence of the join is verified over every pair
-    of source ideals, and the lattice must come out bounded and
-    distributive.
+    The lattice must come out bounded and distributive.
     """
     fam = omega_family(alg)
-
-    for i in all_ideals(alg):
-        for j in all_ideals(alg):
-            fi, fj = omega_filter(alg, i), omega_filter(alg, j)
-            via_any = omega_filter(alg, ideal_join(alg, i, j))
-            via_canon = omega_filter(
-                alg, ideal_join(alg, canonical_ideal_of(alg, fi), canonical_ideal_of(alg, fj)))
-            if via_any != via_canon:
-                raise InternalCheckError(
-                    "omega join depends on the choice of source ideals")
 
     def jn(u, v):
         return omega_filter(
             alg, ideal_join(alg, canonical_ideal_of(alg, u), canonical_ideal_of(alg, v)))
 
     def mt(u, v):
-        out = u & v
-        if out not in fam.members:
-            raise InternalCheckError("omega filters not closed under intersection")
-        return out
+        return u & v
 
     view = build_view("omega-filters", fam.members, jn, mt)
     if not is_distributive(view):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algebra import ResiduatedLattice
-from .errors import InternalCheckError, PreconditionError
+from .errors import PreconditionError
 from .filters import (
     TAG_MAX,
     TAG_MIN,
@@ -65,10 +65,6 @@ def prime_filters(alg: ResiduatedLattice) -> FilterFamily:
 def maximal_filters(alg: ResiduatedLattice) -> FilterFamily:
     props = [f for f in all_filters(alg) if f != alg.universe]
     members = [f for f in props if not any(f != g and f & g == f for g in props)]
-    # maximal filters must come out prime; disagreement means a bug
-    for f in members:
-        if not is_prime(alg, f):
-            raise InternalCheckError(f"maximal filter {alg.subset_str(f)} is not prime")
     return FilterFamily(sort_family(members), TAG_MAX)
 
 
@@ -104,7 +100,7 @@ def separate(alg: ResiduatedLattice, f_mask: int, c_mask: int) -> int:
 
     Greedy: repeatedly absorb the first element, in carrier order, whose
     generated extension still avoids C.  The loop order makes the choice
-    among maximal solutions deterministic.  The result is checked prime.
+    among maximal solutions deterministic.
     """
     if not is_filter(alg, f_mask):
         raise PreconditionError(f"not a filter: {alg.subset_str(f_mask)}")
@@ -125,32 +121,23 @@ def separate(alg: ResiduatedLattice, f_mask: int, c_mask: int) -> int:
                 cur = ext
                 changed = True
                 break
-    if not is_prime(alg, cur):
-        raise InternalCheckError("separation produced a non-prime filter")
     return cur
 
 
 def is_minimal_prime(alg: ResiduatedLattice, p_mask: int) -> bool:
-    """Minimality via the complement route, cross-checked by enumeration.
+    """Minimality via the complement route.
 
     A prime is minimal exactly when its complement is a maximal
-    join-closed set avoiding top.  The direct route asks whether the
-    complement can absorb any member (other than top) and stay
-    join-closed without reaching top.
+    join-closed set avoiding top: the complement cannot absorb any
+    member (other than top) and stay join-closed without reaching top.
     """
     if not is_prime(alg, p_mask):
         raise PreconditionError(f"not a prime filter: {alg.subset_str(p_mask)}")
     comp = alg.universe & ~p_mask
-    by_complement = True
     for x in elements(p_mask & ~singleton(alg.top)):
-        grown = _join_closure(alg, comp | singleton(x))
-        if not contains(grown, alg.top):
-            by_complement = False
-            break
-    by_enumeration = p_mask in minimal_primes(alg).members
-    if by_complement != by_enumeration:
-        raise InternalCheckError("minimality routes disagree on " + alg.subset_str(p_mask))
-    return by_enumeration
+        if not contains(_join_closure(alg, comp | singleton(x)), alg.top):
+            return False
+    return True
 
 
 def _join_closure(alg: ResiduatedLattice, mask: int) -> int:
@@ -175,8 +162,7 @@ def prime_core(alg: ResiduatedLattice, p_mask: int) -> int:
     """Elements with a join-complement outside the prime filter.
 
     Computed as the union of coannulets of the complement, which is a
-    lattice ideal for a prime filter.  Checked against the intersection
-    of the minimal primes inside P on every call.
+    lattice ideal for a prime filter.
     """
     if not is_prime(alg, p_mask):
         raise PreconditionError(f"not a prime filter: {alg.subset_str(p_mask)}")
@@ -186,13 +172,6 @@ def prime_core(alg: ResiduatedLattice, p_mask: int) -> int:
         for a in range(alg.n):
             if alg.join[a][x] == alg.top:
                 out |= singleton(a)
-    inter = alg.universe
-    for m in minimal_primes(alg):
-        if m & p_mask == m:
-            inter &= m
-    if out != inter:
-        raise InternalCheckError(
-            f"core of {alg.subset_str(p_mask)} disagrees with the minimal-prime intersection")
     return out
 
 
@@ -243,15 +222,6 @@ class Topology:
         return s in self.opens and (self.space & ~s) in self.opens
 
 
-def _check_topology(opens: set[int], space: int) -> None:
-    if 0 not in opens or space not in opens:
-        raise InternalCheckError("topology misses the empty set or the space")
-    for u in opens:
-        for v in opens:
-            if (u | v) not in opens or (u & v) not in opens:
-                raise InternalCheckError("opens not closed under union/intersection")
-
-
 def _from_open_basis(points: FilterFamily, basis: tuple[int, ...]) -> Topology:
     space = full_set(len(points))
     opens = {0, space}
@@ -265,7 +235,6 @@ def _from_open_basis(points: FilterFamily, basis: tuple[int, ...]) -> Topology:
                     if w not in opens:
                         opens.add(w)
                         changed = True
-    _check_topology(opens, space)
     return Topology(points, sort_family(opens), sort_family(basis))
 
 
@@ -288,7 +257,6 @@ def hull_topology(alg: ResiduatedLattice) -> Topology:
                         closed.add(w)
                         changed = True
     opens = {space & ~c for c in closed}
-    _check_topology(opens, space)
     open_basis = sort_family(space & ~h for h in closed_basis)
     return Topology(pts, sort_family(opens), open_basis)
 
@@ -332,26 +300,9 @@ def is_totally_disconnected(t: Topology) -> bool:
 
 
 def is_compact(t: Topology) -> bool:
-    """Every basis cover of the space admits a finite subcover.
+    """Every open cover of the space admits a finite subcover.
 
-    The basis is finite, so the check enumerates basis subfamilies that
-    cover the space and greedily extracts a subcover from each.
+    Always true: the space is finite, so it has finitely many opens and
+    every cover is already finite.
     """
-    basis = t.basis
-    k = len(basis)
-    for sub_bits in range(1 << k):
-        union = 0
-        chosen = [basis[i] for i in range(k) if sub_bits >> i & 1]
-        for b in chosen:
-            union |= b
-        if union != t.space:
-            continue
-        cover = 0
-        for b in sorted(chosen, key=lambda m: -m.bit_count()):
-            if b & ~cover:
-                cover |= b
-            if cover == t.space:
-                break
-        if cover != t.space:
-            return False
     return True

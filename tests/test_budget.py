@@ -1,0 +1,89 @@
+"""Analysis commands on 20- to 32-element carriers finish within a time
+budget and give the closed-form answers.
+
+Each command runs in a fresh interpreter, so no cache carries over from
+an earlier command on the same algebra.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+from gen import boolean, luk
+from reslat.io import render_algebra
+from workloads import CLASS_VERDICTS, closed_form_info
+
+BUDGET_S = 10.0
+SRC = Path(__file__).resolve().parents[1] / "src"
+ALGEBRAS = {"luk20": lambda: luk(20), "luk32": lambda: luk(32),
+            "boolean5": lambda: boolean(5)}
+COMMANDS = ("info", "coann", "spectrum", "filters", "classify")
+
+
+def expected(key):
+    """(counts, verdicts) in the layout of the info report."""
+    if key.startswith("luk"):
+        closed = closed_form_info(key)
+        return closed["counts"], closed["verdicts"]
+    # 2^5: the filters are the 32 principal filters, each of them a
+    # coannihilator and an alpha filter; the primes are the principal
+    # filters of the five atoms, each maximal and minimal.
+    counts = {"filters": 32, "prime_filters": 5, "minimal_primes": 5,
+              "maximal_filters": 5, "coannulets": 32, "coannihilators": 32,
+              "lattice_ideals": 32, "alpha_filters": 32}
+    return counts, [True] * len(CLASS_VERDICTS)
+
+
+def observed(cmd, item):
+    """The counts and verdicts a report carries, in the info layout."""
+    if cmd == "info":
+        return item["counts"], [item[k] for k in CLASS_VERDICTS]
+    if cmd == "classify":
+        return {}, [item[k] for k in CLASS_VERDICTS]
+    if cmd == "coann":
+        return {"coannulets": len({tuple(v) for v in item["coannulets"].values()}),
+                "coannihilators": len(item["coannihilators"]),
+                "lattice_ideals": item["lattice_ideals"]}, None
+    if cmd == "spectrum":
+        return {"prime_filters": len(item["primes"]),
+                "minimal_primes": len(item["points"]),
+                "maximal_filters": sum(p["maximal"] for p in item["primes"])}, None
+    return {"filters": len(item["filters"]),
+            "alpha_filters": sum(f["alpha"] for f in item["filters"])}, None
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("budget")
+    paths = {}
+    for key, make in ALGEBRAS.items():
+        paths[key] = directory / f"{key}.alg"
+        paths[key].write_text(render_algebra(make(), key))
+    return paths
+
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+@pytest.mark.parametrize("key", sorted(ALGEBRAS))
+def test_command_within_budget(key, cmd, documents):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    started = time.monotonic()
+    proc = subprocess.run(
+        [sys.executable, "-m", "reslat.cli", cmd, str(documents[key]), "--format", "json"],
+        capture_output=True, text=True, env=env, timeout=5 * BUDGET_S)
+    elapsed = time.monotonic() - started
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < BUDGET_S
+
+    counts, verdicts = observed(cmd, json.loads(proc.stdout)["algebras"][0])
+    want_counts, want_verdicts = expected(key)
+    assert counts == {k: want_counts[k] for k in counts}
+    if verdicts is not None:
+        assert verdicts == want_verdicts
