@@ -100,12 +100,12 @@ def coannulet_lattice(alg: ResiduatedLattice) -> LatticeView:
     whichever representatives x and y are taken.
     """
     fam = coannulet_family(alg)
-    reps: dict[int, list[int]] = {m: [] for m in fam}
+    rep: dict[int, int] = {}
     for x in range(alg.n):
-        reps[coannulet(alg, x)].append(x)
+        rep.setdefault(coannulet(alg, x), x)
 
     def jn(u, v):
-        return coannulet(alg, alg.join[reps[u][0]][reps[v][0]])
+        return coannulet(alg, alg.join[rep[u]][rep[v]])
 
     def mt(u, v):
         return u & v
