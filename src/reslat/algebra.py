@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import InternalCheckError
 from .subsets import contains, elements, from_elements, full_set, render
 
 Table = tuple[tuple[int, ...], ...]
@@ -238,33 +237,8 @@ class ResiduatedLattice:
 
     @cached_property
     def boolean_center(self) -> int:
-        """Subset of complemented elements, with their laws re-verified.
-
-        Every member e must satisfy: its complement is neg(e), e is
-        idempotent under prod (so e^k = e for k >= 1), prod by e agrees
-        with meet by e, and double negation fixes e.  A violation is an
-        internal-consistency failure, not a property of the input.
-        """
-        mask = 0
-        for e in range(self.n):
-            comps = self.complements_of(e)
-            if not comps:
-                continue
-            mask |= 1 << e
-            ne = self.neg(e)
-            for f in comps:
-                if f != ne:
-                    raise InternalCheckError(
-                        f"complement of {self.names[e]} is {self.names[f]}, not its negation")
-            if self.prod[e][e] != e:
-                raise InternalCheckError(f"complemented {self.names[e]} is not idempotent")
-            for a in range(self.n):
-                if self.prod[e][a] != self.meet[e][a]:
-                    raise InternalCheckError(
-                        f"prod and meet by complemented {self.names[e]} differ at {self.names[a]}")
-            if self.neg(ne) != e:
-                raise InternalCheckError(f"double negation moves complemented {self.names[e]}")
-        return mask
+        """Subset of complemented elements."""
+        return from_elements(e for e in range(self.n) if self.complements_of(e))
 
     def is_dense(self, x: int) -> bool:
         """x is dense when top is the only y with x v y = top."""

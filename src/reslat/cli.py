@@ -29,7 +29,7 @@ from .io import (BUNDLED, NamedAlgebra, ParseError, bundled_names,
                  check_stream, load_bundled, parse_stream, render_algebra,
                  render_stream)
 from .report import ReportBuilder
-from .search import MAX_CARRIER, STRATEGIES, ZERO_STATS, mine
+from .search import MAX_CARRIER, ZERO_STATS, mine
 from .spectrum import (hull_topology, is_compact, is_totally_disconnected,
                        is_zero_dimensional, maximal_filters, minimal_primes,
                        prime_core, prime_filters, topologies_equal)
@@ -438,32 +438,18 @@ def _build_verify(args, rep, item, label, alg):
 
 
 def _cmd_search(args) -> int:
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("RESLAT_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                raise _UsageError(f"RESLAT_JOBS is not an integer: {env!r}")
-        else:
-            jobs = 1
-    if jobs < 1:
-        raise _UsageError("jobs must be at least 1")
     if not 1 <= args.max_size <= MAX_CARRIER:
         raise _UsageError(f"max size must be between 1 and {MAX_CARRIER}")
 
     rep = ReportBuilder("search")
-    rep.line(f"search through carriers of at most {args.max_size} elements "
-             f"(strategy {args.strategy}, jobs {jobs})")
+    rep.line(f"search through carriers of at most {args.max_size} elements")
     rep.line(f"predicate: {args.predicate}")
     per_size = []
     matches = []
     lattices = 0
     stats = ZERO_STATS
     for n in range(1, args.max_size + 1):
-        res = mine(args.predicate, n, jobs=jobs, strategy=args.strategy,
-                   n_min=n)
+        res = mine(args.predicate, n, n_min=n)
         per_size.append({
             "size": n,
             "lattices": res.lattices,
@@ -482,8 +468,6 @@ def _cmd_search(args) -> int:
              f"{stats.pruned}, duplicates dropped {stats.iso_rejected}")
     rep.set("max_size", args.max_size)
     rep.set("predicate", args.predicate)
-    rep.set("strategy", args.strategy)
-    rep.set("jobs", jobs)
     rep.set("per_size", per_size)
     rep.set("totals", {"lattices": lattices, "algebras": stats.emitted,
                        "matching": len(matches)})
@@ -549,10 +533,6 @@ def _make_parser() -> _Parser:
     search.add_argument("--predicate", default="true", metavar="EXPR",
                         help="boolean expression over the class names "
                              "(default: true)")
-    search.add_argument("--strategy", choices=STRATEGIES, default="pruned",
-                        help="table completion order (default pruned)")
-    search.add_argument("--jobs", type=int, default=None, metavar="J",
-                        help="worker processes (default: RESLAT_JOBS or 1)")
     search.add_argument("--render", action="store_true",
                         help="append the matching algebras as documents")
     return parser

@@ -78,18 +78,14 @@ def coannulet_family(alg: ResiduatedLattice) -> FilterFamily:
 
 @lru_cache(maxsize=None)
 def coannihilator_family(alg: ResiduatedLattice) -> FilterFamily:
-    """All coannihilators: the intersection closure of the coannulets."""
-    closure = {alg.universe}
-    closure.update(coannulet_family(alg).members)
-    changed = True
-    while changed:
-        changed = False
-        for u in tuple(closure):
-            for v in tuple(closure):
-                if u & v not in closure:
-                    closure.add(u & v)
-                    changed = True
-    return FilterFamily(sort_family(closure), TAG_COANNIHILATOR)
+    """All coannihilators: the coannulets.
+
+    Every coannihilator is an intersection of coannulets, and the
+    coannulets are closed under intersection, coann(x) & coann(y) =
+    coann(x * y), with the empty intersection, the universe, being
+    coann(top).
+    """
+    return FilterFamily(coannulet_family(alg).members, TAG_COANNIHILATOR)
 
 
 @lru_cache(maxsize=None)

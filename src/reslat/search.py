@@ -9,33 +9,29 @@ implies x < y as integers.  Each lattice found is keyed by the least of
 its relabellings under all permutations of the middle elements, so the
 key set, and the sorted result, is the same as from trying every order.
 
-Two fill strategies are kept deliberately distinct so their results can
-be compared: the pruned walk cuts candidates with order facts every
-valid table obeys (a product never exceeds the meet, and is monotone in
-both arguments), while the direct walk tries every value and filters at
-the end.  Monotonicity is checked by interval pruning: the cells filled
-earlier that lie below the current cell in the product order bound its
-value from below by the join of their values, those above it bound it
-from above by the meet, and a candidate survives exactly when it lies
-in that interval.  Both strategies must land on identical algebras; the
-stats record how much work each spent.  A predicate language over the
-classification verdicts turns the walk into a counterexample miner.
+The product walk cuts candidates with order facts every valid table
+obeys: a product never exceeds the meet, and is monotone in both
+arguments.  Monotonicity is checked by interval pruning: the cells
+filled earlier that lie below the current cell in the product order
+bound its value from below by the join of their values, those above it
+bound it from above by the meet, and a candidate survives exactly when
+it lies in that interval.  The stats record how much work the walk
+spent.  A predicate language over the classification verdicts turns the
+walk into a counterexample miner.
 """
 
 from __future__ import annotations
 
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
-from .algebra import InvalidAlgebraError, ResiduatedLattice, validate
+from .algebra import ResiduatedLattice
 from .classify import classification
-from .errors import InternalCheckError, PreconditionError
+from .errors import PreconditionError
 
 MAX_CARRIER = 7
-STRATEGIES = ("pruned", "direct")
 
 _MIDDLE_NAMES = "abcde"
 
@@ -213,38 +209,37 @@ class _Fill:
     order, the order as bitmasks, and the residuals of the product rows
     met so far."""
 
-    def __init__(self, skel: LatticeSkeleton, strategy: str):
+    def __init__(self, skel: LatticeSkeleton):
         n = skel.n
         self.skel = skel
-        self.pruning = strategy == "pruned"
         self.down = down = _down_masks(skel)
+        self.up = tuple(sum(1 << y for y in range(n) if down[y] >> x & 1)
+                        for x in range(n))
         self.principal = {mask: x for x, mask in enumerate(down)}
         self.cells = cells = _cells(n)
-        if not self.pruning:
-            self.cand = (tuple(range(n)),) * len(cells)
-        else:
-            def below(c, d):
-                # Either pairing counts, since the product is commutative.
-                (a, b), (x, y) = c, d
-                return (down[x] >> a & 1 and down[y] >> b & 1
-                        or down[y] >> a & 1 and down[x] >> b & 1)
 
-            self.lower = tuple(
-                tuple(j for j in range(i) if below(cells[j], c))
-                for i, c in enumerate(cells))
-            self.upper = tuple(
-                tuple(j for j in range(i) if below(c, cells[j]))
-                for i, c in enumerate(cells))
-            self.cand = tuple(
-                tuple(v for v in range(n) if down[skel.meet[x][y]] >> v & 1)
-                for x, y in cells)
-            # fits[i][lo][hi]: the candidates v of cell i with lo <= v <= hi
-            self.fits = tuple(
-                tuple(tuple(tuple(v for v in cand if down[v] >> lo & 1
-                                  and down[hi] >> v & 1)
-                            for hi in range(n))
-                      for lo in range(n))
-                for cand in self.cand)
+        def below(c, d):
+            # Either pairing counts, since the product is commutative.
+            (a, b), (x, y) = c, d
+            return (down[x] >> a & 1 and down[y] >> b & 1
+                    or down[y] >> a & 1 and down[x] >> b & 1)
+
+        self.lower = tuple(
+            tuple(j for j in range(i) if below(cells[j], c))
+            for i, c in enumerate(cells))
+        self.upper = tuple(
+            tuple(j for j in range(i) if below(c, cells[j]))
+            for i, c in enumerate(cells))
+        self.cand = tuple(
+            tuple(v for v in range(n) if down[skel.meet[x][y]] >> v & 1)
+            for x, y in cells)
+        # fits[i][lo][hi]: the candidates v of cell i with lo <= v <= hi
+        self.fits = tuple(
+            tuple(tuple(tuple(v for v in cand if down[v] >> lo & 1
+                              and down[hi] >> v & 1)
+                        for hi in range(n))
+                  for lo in range(n))
+            for cand in self.cand)
         self.residuals: dict = {}
 
 
@@ -287,12 +282,6 @@ def _row_residual(fill: _Fill, row):
     return fill.residuals[key]
 
 
-def _residual_table(fill: _Fill, prod_t):
-    """The implication table, or None when some residual is missing."""
-    impl_t = tuple(_row_residual(fill, row) for row in prod_t)
-    return None if None in impl_t else impl_t
-
-
 def _table_ok(fill: _Fill, prod_t) -> bool:
     """Is the filled commutative table with the top as unit residuated
     and associative?  Decides both in full.  Row top is the identity,
@@ -316,15 +305,11 @@ def _table_ok(fill: _Fill, prod_t) -> bool:
     return True
 
 
-def _walk(fill: _Fill, prefix, stop_depth, out_tables):
-    """Depth-first fill from the given prefix down to ``stop_depth``; at
-    that depth the assignment is recorded (full tables get validated
-    first).  Returns (examined, pruned)."""
+def _walk(fill: _Fill, out_tables):
+    """Depth-first fill of every cell; each full table that passes
+    _table_ok is recorded.  Returns (examined, pruned)."""
     n = fill.skel.n
-    cells, cand = fill.cells, fill.cand
-    pruning = fill.pruning
-    fits = fill.fits if pruning else None
-    full = stop_depth == len(cells)
+    cells, cand, fits = fill.cells, fill.cand, fill.fits
     top = n - 1
     # One product table per walk: each cell is written when assigned,
     # so at a leaf the table holds exactly the current assignment.
@@ -333,50 +318,27 @@ def _walk(fill: _Fill, prefix, stop_depth, out_tables):
         prod_t[i][top] = i
         prod_t[top][i] = i
     vals = [0] * len(cells)
-    for i, v in enumerate(prefix):
-        x, y = cells[i]
-        prod_t[x][y] = prod_t[y][x] = vals[i] = v
     examined = 0
     pruned = 0
 
     def rec(i):
         nonlocal examined, pruned
-        if i == stop_depth:
-            if full:
-                examined += 1
-                if _table_ok(fill, prod_t):
-                    out_tables.append(tuple(map(tuple, prod_t)))
-            else:
-                out_tables.append(tuple(vals[:i]))
+        if i == len(cells):
+            examined += 1
+            if _table_ok(fill, prod_t):
+                out_tables.append(tuple(map(tuple, prod_t)))
             return
-        values = cand[i]
-        if pruning:
-            lo, hi = _interval(fill, i, vals)
-            fit = fits[i][lo][hi]
-            pruned += len(values) - len(fit)
-            values = fit
+        lo, hi = _interval(fill, i, vals)
+        values = fits[i][lo][hi]
+        pruned += len(cand[i]) - len(values)
         x, y = cells[i]
         row_x, row_y = prod_t[x], prod_t[y]
         for v in values:
             row_x[y] = row_y[x] = vals[i] = v
             rec(i + 1)
 
-    rec(len(prefix))
+    rec(0)
     return examined, pruned
-
-
-def _complete_prefix(args):
-    """Worker task: finish every table extending the given prefixes."""
-    n, join, meet, strategy, prefixes = args
-    fill = _Fill(LatticeSkeleton(n, join, meet), strategy)
-    tables = []
-    examined = 0
-    pruned = 0
-    for prefix in prefixes:
-        ex, pr = _walk(fill, prefix, len(fill.cells), tables)
-        examined += ex
-        pruned += pr
-    return examined, pruned, tables
 
 
 def _canonical_product(skel: LatticeSkeleton, prod_t):
@@ -385,53 +347,22 @@ def _canonical_product(skel: LatticeSkeleton, prod_t):
 
 
 def _build_algebra(fill: _Fill, prod_t) -> ResiduatedLattice:
+    """The algebra of an accepted table, built without validation: the
+    skeleton is a bounded lattice, the walk fills commutative tables
+    with the top as unit, and _table_ok found this one residuated and
+    associative.  The implication is read off the residual rows."""
     skel = fill.skel
-    impl_t = _residual_table(fill, prod_t)
-    if impl_t is None:
-        raise InternalCheckError("emitted table lost its residuals")
-    try:
-        return validate(names_for(skel.n), skel.join, skel.meet,
-                        prod_t, impl_t, 0, skel.n - 1)
-    except InvalidAlgebraError as exc:
-        raise InternalCheckError(
-            f"enumeration emitted an invalid table: {exc}") from exc
+    impl_t = tuple(_row_residual(fill, row) for row in prod_t)
+    return ResiduatedLattice(names_for(skel.n), skel.join, skel.meet, prod_t,
+                             impl_t, 0, skel.n - 1, fill.up, fill.down)
 
 
-def enumerate_residuated(skel: LatticeSkeleton, jobs: int = 1,
-                         strategy: str = "pruned",
+def enumerate_residuated(skel: LatticeSkeleton,
                          ) -> tuple[tuple[ResiduatedLattice, ...], SearchStats]:
-    """All residuated products on the skeleton up to isomorphism.
-
-    The result and every stats field are independent of ``jobs``; the
-    found/emitted/iso_rejected counts are also independent of the
-    strategy.
-    """
-    if strategy not in STRATEGIES:
-        raise PreconditionError(f"unknown strategy: {strategy!r}")
-    if jobs < 1:
-        raise PreconditionError("jobs must be at least 1")
-    n = skel.n
-    fill = _Fill(skel, strategy)
-    cells = fill.cells
+    """All residuated products on the skeleton up to isomorphism."""
+    fill = _Fill(skel)
     tables: list = []
-    if jobs == 1 or len(cells) < 2:
-        examined, pruned = _walk(fill, (), len(cells), tables)
-    else:
-        split = min(2, len(cells))
-        prefixes: list = []
-        _, pruned_prefix = _walk(fill, (), split, prefixes)
-        chunks = [prefixes[i::jobs] for i in range(jobs)]
-        examined = 0
-        pruned = pruned_prefix
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = pool.map(
-                _complete_prefix,
-                [(n, skel.join, skel.meet, strategy, chunk)
-                 for chunk in chunks if chunk])
-            for ex, pr, part in parts:
-                examined += ex
-                pruned += pr
-                tables.extend(part)
+    examined, pruned = _walk(fill, tables)
     tables.sort()
     found = len(tables)
     groups: dict = {}
@@ -440,8 +371,6 @@ def enumerate_residuated(skel: LatticeSkeleton, jobs: int = 1,
     emitted = sorted(groups)
     stats = SearchStats(examined, pruned, found, len(emitted),
                         found - len(emitted))
-    if stats.found != stats.emitted + stats.iso_rejected:
-        raise InternalCheckError("search stats fail to balance")
     algebras = tuple(_build_algebra(fill, t) for t in emitted)
     return algebras, stats
 
@@ -546,8 +475,7 @@ class MineResult:
     stats: SearchStats
 
 
-def mine(predicate: str, n_max: int, jobs: int = 1,
-         strategy: str = "pruned", n_min: int = 1) -> MineResult:
+def mine(predicate: str, n_max: int, n_min: int = 1) -> MineResult:
     """Search every algebra on n_min..n_max elements for the predicate."""
     _check_carrier(n_max)
     if not 1 <= n_min <= n_max:
@@ -559,7 +487,7 @@ def mine(predicate: str, n_max: int, jobs: int = 1,
     for n in range(n_min, n_max + 1):
         for skel in enumerate_lattices(n):
             lattices += 1
-            algebras, stats = enumerate_residuated(skel, jobs, strategy)
+            algebras, stats = enumerate_residuated(skel)
             total = total + stats
             for alg in algebras:
                 if pred(classification(alg)):

@@ -29,7 +29,7 @@ from .classify import (
     classification,
     cohull_lattice,
     element_kernel_by_coannulet,
-    element_kernel_by_principal_filter,
+    element_lattice,
     filter_kernel_spectral,
     filter_lattice,
     hull_lattice,
@@ -83,7 +83,13 @@ from .spectrum import (
     topologies_equal,
 )
 from .subsets import contains, elements, full_set, singleton
-from .views import is_boolean, is_sublattice, view_filters
+from .views import (
+    is_boolean,
+    is_sublattice,
+    kernel_partition,
+    kernel_transports,
+    view_filters,
+)
 
 
 @dataclass(frozen=True)
@@ -494,7 +500,8 @@ def _principal_filter_map(alg):
         yield "order reversing homomorphism onto the filter lattice", \
             m.kind == "dual lattice homomorphism" and m.surjective
         yield "kernel quotient transports", \
-            element_kernel_by_principal_filter(alg) is not None
+            kernel_transports(element_lattice(alg), [img for _, img in m.pairs],
+                              filter_lattice(alg), dual=True)
     return _law(gen())
 
 
@@ -505,7 +512,8 @@ def _coannulet_map(alg):
         yield "order preserving homomorphism onto the coannulets", \
             m.kind == "lattice homomorphism" and m.surjective
         yield "kernel quotient transports", \
-            element_kernel_by_coannulet(alg) is not None
+            kernel_transports(element_lattice(alg), [img for _, img in m.pairs],
+                              coannulet_lattice(alg), dual=False)
         for x in range(alg.n):
             f = principal_filter(alg, x)
             yield (f"factors through the filter of {alg.names[x]}",
@@ -553,11 +561,14 @@ def _filter_to_cohull_map(alg):
 def _generator_coannulet_map(alg):
     maps = structure_maps(alg)
     m = maps["filter to generator coannulet"]
+    fl = filter_lattice(alg)
+    images = [img for _, img in m.pairs]
     def gen():
         yield "order reversing homomorphism onto the coannulets", \
             m.kind == "dual lattice homomorphism" and m.surjective
         yield "kernels by cohull and by generator coannulet coincide", \
-            filter_kernel_spectral(alg) is not None
+            kernel_partition(fl, images) == filter_kernel_spectral(alg) and \
+            kernel_transports(fl, images, coannulet_lattice(alg), dual=True)
     return _law(gen())
 
 

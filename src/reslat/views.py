@@ -3,14 +3,14 @@
 Derived structures (families of filters, of coannihilators, of point
 sets) are lattices in their own right, usually with joins that are not
 plain unions.  A LatticeView materializes such a structure as index
-tables over a canonical key tuple so the generic law checkers,
-congruence and quotient machinery apply uniformly.
+tables over a canonical key tuple so the generic predicates, congruence
+and quotient machinery apply uniformly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Hashable, Sequence
 
 from .errors import InternalCheckError, PreconditionError
@@ -44,7 +44,8 @@ def build_view(name: str,
                keys: Sequence[Key],
                join_fn: Callable[[Key, Key], Key],
                meet_fn: Callable[[Key, Key], Key]) -> LatticeView:
-    """Materialize tables from binary ops and verify the lattice laws.
+    """Materialize tables from binary ops that make the keys a bounded
+    lattice.
 
     The ops must be closed on the key set; a result outside it is an
     internal-consistency failure of the caller's construction.
@@ -53,7 +54,6 @@ def build_view(name: str,
     if len(set(keys)) != len(keys):
         raise PreconditionError(f"{name}: duplicate keys")
     pos = {k: i for i, k in enumerate(keys)}
-    n = len(keys)
 
     def table(fn, label):
         t = []
@@ -70,40 +70,10 @@ def build_view(name: str,
 
     join = table(join_fn, "join")
     meet = table(meet_fn, "meet")
-
-    bottoms = [i for i in range(n) if all(meet[i][j] == i for j in range(n))]
-    tops = [i for i in range(n) if all(join[i][j] == i for j in range(n))]
-    if len(bottoms) != 1 or len(tops) != 1:
-        raise InternalCheckError(f"{name}: family is not bounded")
-    view = LatticeView(name, keys, join, meet, bottoms[0], tops[0])
-    problems = check_lattice_laws(view)
-    if problems:
-        raise InternalCheckError(f"{name}: " + "; ".join(problems))
-    return view
-
-
-def check_lattice_laws(view: LatticeView) -> list[str]:
-    """Commutativity, associativity, idempotence, absorption, bounds."""
-    n = view.n
-    join, meet = view.join, view.meet
-    out = []
-    for x in range(n):
-        if join[x][x] != x or meet[x][x] != x:
-            out.append(f"idempotence fails at {view.keys[x]!r}")
-        if meet[view.bottom][x] != view.bottom or join[view.top][x] != view.top:
-            out.append(f"bounds fail at {view.keys[x]!r}")
-    for x in range(n):
-        for y in range(n):
-            if join[x][y] != join[y][x] or meet[x][y] != meet[y][x]:
-                out.append(f"commutativity fails at ({x},{y})")
-            if join[x][meet[x][y]] != x or meet[x][join[x][y]] != x:
-                out.append(f"absorption fails at ({x},{y})")
-            for z in range(n):
-                if join[join[x][y]][z] != join[x][join[y][z]]:
-                    out.append(f"join associativity fails at ({x},{y},{z})")
-                if meet[meet[x][y]][z] != meet[x][meet[y][z]]:
-                    out.append(f"meet associativity fails at ({x},{y},{z})")
-    return out[:8]
+    nodes = range(len(keys))
+    bottom = reduce(lambda i, j: meet[i][j], nodes)
+    top = reduce(lambda i, j: join[i][j], nodes)
+    return LatticeView(name, keys, join, meet, bottom, top)
 
 
 def is_distributive(view: LatticeView) -> bool:
@@ -130,26 +100,16 @@ def is_boolean(view: LatticeView) -> bool:
     return all(complements_in(view, i) for i in range(view.n))
 
 
-def is_view_filter(view: LatticeView, mask: int) -> bool:
-    """Nonempty, upward closed, and meet closed set of nodes."""
-    if mask == 0:
-        return False
-    for i in range(view.n):
-        if mask >> i & 1:
-            for j in range(view.n):
-                if view.leq(i, j) and not mask >> j & 1:
-                    return False
-                if mask >> j & 1 and not mask >> view.meet[i][j] & 1:
-                    return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def view_filters(view: LatticeView) -> tuple[int, ...]:
-    """Every lattice filter of the view, as masks over node indices."""
-    out = [m for m in range(1, 1 << view.n) if is_view_filter(view, m)]
-    out.sort(key=lambda m: (m.bit_count(), m))
-    return tuple(out)
+    """Every lattice filter of the view, as masks over node indices.
+
+    A filter of a finite lattice holds the meet of its members, so it is
+    the up-set of that meet: the filters are the principal up-sets.
+    """
+    ups = (sum(1 << j for j in range(view.n) if view.leq(i, j))
+           for i in range(view.n))
+    return tuple(sorted(ups, key=lambda m: (m.bit_count(), m)))
 
 
 def view_filter_generated(view: LatticeView, mask: int) -> int:
@@ -231,9 +191,8 @@ def is_congruence(view: LatticeView, cong: Congruence) -> bool:
 
 
 def quotient_view(view: LatticeView, cong: Congruence) -> LatticeView:
-    """The quotient lattice; fails if the partition is not a congruence."""
-    if not is_congruence(view, cong):
-        raise InternalCheckError(f"{view.name}: partition is not a congruence")
+    """The quotient lattice by a congruence, operating on class
+    representatives."""
     cls = {}
     for idx, c in enumerate(cong.classes):
         for i in c:
@@ -250,3 +209,22 @@ def quotient_view(view: LatticeView, cong: Congruence) -> LatticeView:
         return keys[cls[view.meet[i][j]]]
 
     return build_view(view.name + "/~", keys, jn, mt)
+
+
+def kernel_transports(view: LatticeView, images: Sequence[Hashable],
+                      target: LatticeView, dual: bool) -> bool:
+    """First isomorphism theorem for the map given by its node images:
+    the kernel partition is a congruence and the quotient is carried
+    onto the target, joins to meets when dual."""
+    cong = kernel_partition(view, images)
+    if not is_congruence(view, cong):
+        return False
+    quot = quotient_view(view, cong)
+    img = [images[c[0]] for c in cong.classes]
+    if set(img) != set(target.keys) or len(img) != target.n:
+        return False
+    pos = [target.index(v) for v in img]
+    jt, mt = (target.meet, target.join) if dual else (target.join, target.meet)
+    return all(pos[quot.join[a][b]] == jt[pos[a]][pos[b]]
+               and pos[quot.meet[a][b]] == mt[pos[a]][pos[b]]
+               for a in range(quot.n) for b in range(quot.n))

@@ -199,6 +199,73 @@ def alpha_closure(t, xs):
     return acc
 
 
+# -- families of subsets and derived lattices -------------------------------
+
+def is_frame(family):
+    """Meet distributes over the join of every nonempty subfamily, join
+    being the least member over the union and meet the greatest member
+    inside the intersection; all 2^k subfamilies are tried."""
+    fam = sorted(set(family))
+
+    def join(ms):
+        union = 0
+        for m in ms:
+            union |= m
+        above = [f for f in fam if f & union == union]
+        return next(f for f in above if all(f & g == f for g in above))
+
+    def meet(ms):
+        inter = ~0
+        for m in ms:
+            inter &= m
+        below = [f for f in fam if f & inter == f]
+        return next(f for f in below if all(g & f == g for g in below))
+
+    for bits in range(1, 1 << len(fam)):
+        sub = [fam[i] for i in range(len(fam)) if bits >> i & 1]
+        j = join(sub)
+        for f in fam:
+            if meet([f, j]) != join([meet([f, g]) for g in sub]):
+                return False
+    return True
+
+
+def lattice_law_failures(view):
+    """Laws a node-indexed (join, meet, bottom, top) table breaks:
+    idempotence, bounds, commutativity, absorption, associativity."""
+    n, join, meet = view.n, view.join, view.meet
+    out = []
+    for x in range(n):
+        if join[x][x] != x or meet[x][x] != x:
+            out.append(("idempotence", x))
+        if meet[view.bottom][x] != view.bottom or join[view.top][x] != view.top:
+            out.append(("bounds", x))
+        for y in range(n):
+            if join[x][y] != join[y][x] or meet[x][y] != meet[y][x]:
+                out.append(("commutativity", x, y))
+            if join[x][meet[x][y]] != x or meet[x][join[x][y]] != x:
+                out.append(("absorption", x, y))
+            for z in range(n):
+                if join[join[x][y]][z] != join[x][join[y][z]] or \
+                        meet[meet[x][y]][z] != meet[x][meet[y][z]]:
+                    out.append(("associativity", x, y, z))
+    return out
+
+
+def view_filters(view):
+    """Lattice filters of a node-indexed lattice, as masks over nodes:
+    every nonempty node set closed upward and under meets, found by
+    scanning all 2^n node sets, ordered by size then mask."""
+    n, meet = view.n, view.meet
+    out = []
+    for m in range(1, 1 << n):
+        nodes = [i for i in range(n) if m >> i & 1]
+        if all(m >> j & 1 for i in nodes for j in range(n) if meet[i][j] == i) \
+                and all(m >> meet[i][j] & 1 for i in nodes for j in nodes):
+            out.append(m)
+    return sorted(out, key=lambda m: (bin(m).count("1"), m))
+
+
 # -- model search oracles --------------------------------------------------
 
 def _lattice_ok(rel, n):

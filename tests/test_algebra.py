@@ -4,7 +4,7 @@ import pytest
 
 import bruteforce as bf
 import tables as tb
-from conftest import build, mask_of
+from conftest import build, catalog5, mask_of
 from reslat import InvalidAlgebraError, validate
 
 
@@ -115,3 +115,10 @@ def test_one_element_algebra_is_valid():
     alg = validate(["u"], [[0]], [[0]], [[0]], [[0]], 0, 0)
     assert alg.is_dense(0)
     assert alg.boolean_center == 1
+
+
+def test_center_complement_is_the_negation(bundled):
+    for alg in list(bundled.values()) + list(catalog5()):
+        for e in range(alg.n):
+            if alg.boolean_center >> e & 1:
+                assert alg.complements_of(e) == (alg.neg(e),)

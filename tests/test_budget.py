@@ -24,7 +24,7 @@ BUDGET_S = 10.0
 SRC = Path(__file__).resolve().parents[1] / "src"
 ALGEBRAS = {"luk20": lambda: luk(20), "luk32": lambda: luk(32),
             "boolean5": lambda: boolean(5)}
-COMMANDS = ("info", "coann", "spectrum", "filters", "classify")
+COMMANDS = ("info", "coann", "spectrum", "filters", "classify", "alpha")
 
 
 def expected(key):
@@ -51,6 +51,8 @@ def observed(cmd, item):
         return {"coannulets": len({tuple(v) for v in item["coannulets"].values()}),
                 "coannihilators": len(item["coannihilators"]),
                 "lattice_ideals": item["lattice_ideals"]}, None
+    if cmd == "alpha":
+        return {"alpha_filters": len(item["family"])}, None
     if cmd == "spectrum":
         return {"prime_filters": len(item["primes"]),
                 "minimal_primes": len(item["points"]),

@@ -1,6 +1,6 @@
 """The landscape of every algebra on at most five elements against the
-brute-force oracle, plus the omega-filter representative facts that no
-suite statement checks."""
+brute-force oracle, plus the omega-filter representative and structure
+map facts that no suite statement checks."""
 
 from __future__ import annotations
 
@@ -9,27 +9,57 @@ import pytest
 import bruteforce as bf
 import tables as tb
 from conftest import build, catalog5, set_of
-from reslat.alpha import alpha_closure, alpha_family
+from reslat.alpha import alpha_closure, alpha_family, alpha_lattice
+from reslat.classify import (
+    cohull_lattice,
+    element_kernel_by_coannulet,
+    element_kernel_by_principal_filter,
+    element_lattice,
+    filter_kernel_spectral,
+    filter_lattice,
+    hull_lattice,
+    structure_maps,
+)
 from reslat.coann import (
     all_ideals,
     canonical_ideal_of,
     coannihilator,
     coannihilator_family,
+    coannihilator_lattice,
+    coannulet,
+    coannulet_lattice,
     ideal_join,
     omega_family,
     omega_filter,
     omega_filter_lattice,
 )
-from reslat.filters import all_filters, extend_filter
+from reslat.filters import (
+    all_filters,
+    extend_filter,
+    principal_filter,
+    principal_generator,
+)
 from reslat.spectrum import (
+    cohull,
+    hull,
     is_minimal_prime,
     maximal_filters,
     minimal_primes,
     prime_core,
     prime_filters,
 )
+from reslat.subsets import full_set, singleton
+from reslat.views import quotient_view, view_filters
 
 CATALOG_SIZE = 37
+MAP_KINDS = {
+    "element to principal filter": "dual lattice homomorphism",
+    "element to coannulet": "lattice homomorphism",
+    "filter to cohull": "lattice homomorphism",
+    "filter to generator coannulet": "dual lattice homomorphism",
+    "cohull to hull": "dual lattice homomorphism",
+    "coannulet to hull": "lattice homomorphism",
+}
 
 
 def catalog_params():
@@ -93,10 +123,14 @@ def fixture_and_catalog_params():
                for i in range(CATALOG_SIZE)])
 
 
+def algebra_of(source):
+    kind, key = source
+    return build(tb.ALL_TABLES[key]) if kind == "fixture" else catalog5()[key]
+
+
 @pytest.mark.parametrize("source", fixture_and_catalog_params())
 def test_omega_join_through_canonical_ideals(source):
-    kind, key = source
-    alg = build(tb.ALL_TABLES[key]) if kind == "fixture" else catalog5()[key]
+    alg = algebra_of(source)
     t = oracle_of(alg)
 
     ideals = all_ideals(alg)
@@ -111,3 +145,42 @@ def test_omega_join_through_canonical_ideals(source):
         for j in ideals:
             fi, fj = view.index(omega_filter(alg, i)), view.index(omega_filter(alg, j))
             assert omega_filter(alg, ideal_join(alg, i, j)) == view.keys[view.join[fi][fj]]
+
+
+@pytest.mark.parametrize("source", fixture_and_catalog_params())
+def test_structure_maps_are_well_defined(source):
+    alg = algebra_of(source)
+    maps = structure_maps(alg)
+    assert {name: m.kind for name, m in maps.items()} == MAP_KINDS
+
+    # The generator coannulet of a filter does not depend on the generator.
+    for f in all_filters(alg):
+        gens = [x for x in range(alg.n) if principal_filter(alg, x) == f]
+        assert {coannulet(alg, g) for g in gens} == \
+            {coannulet(alg, principal_generator(alg, f))}
+    # Elements sharing a coannulet share a hull, so coannulet to hull is a map.
+    hulls = {}
+    for x in range(alg.n):
+        hulls.setdefault(coannulet(alg, x), set()).add(hull(alg, singleton(x)))
+    assert all(len(h) == 1 for h in hulls.values())
+    # Filters reach the hulls alike through cohulls and generator coannulets.
+    space = full_set(len(minimal_primes(alg)))
+    for f in all_filters(alg):
+        assert space & ~cohull(alg, f) == \
+            hull(alg, singleton(principal_generator(alg, f)))
+
+
+@pytest.mark.parametrize("source", fixture_and_catalog_params())
+def test_derived_views_are_bounded_lattices(source):
+    alg = algebra_of(source)
+    views = [element_lattice(alg), filter_lattice(alg), hull_lattice(alg),
+             cohull_lattice(alg), coannulet_lattice(alg),
+             coannihilator_lattice(alg), alpha_lattice(alg),
+             omega_filter_lattice(alg),
+             quotient_view(element_lattice(alg), element_kernel_by_coannulet(alg)),
+             quotient_view(element_lattice(alg),
+                           element_kernel_by_principal_filter(alg)),
+             quotient_view(filter_lattice(alg), filter_kernel_spectral(alg))]
+    for view in views:
+        assert bf.lattice_law_failures(view) == [], view.name
+        assert view_filters(view) == tuple(bf.view_filters(view)), view.name

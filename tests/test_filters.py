@@ -7,6 +7,7 @@ import bruteforce as bf
 import tables as tb
 from conftest import build, mask_of, set_of
 from reslat import PreconditionError
+from reslat.alpha import alpha_family
 from reslat.filters import (
     all_filters,
     extend_filter,
@@ -92,6 +93,17 @@ def test_frame_check_rejects_diamond_family():
     # three atoms under a common top with a common bottom: not distributive
     fam = (0, 0b001, 0b010, 0b100, 0b111)
     assert not frame_check(fam)
+
+
+def test_frame_check_matches_subfamily_definition(bundled):
+    diamond = (0, 0b001, 0b010, 0b100, 0b111)
+    pentagon = (0, 0b001, 0b011, 0b100, 0b111)
+    families = [diamond, pentagon]
+    for alg in bundled.values():
+        families += [all_filters(alg).members, alpha_family(alg).members]
+    verdicts = [frame_check(fam) for fam in families]
+    assert verdicts == [bf.is_frame(fam) for fam in families]
+    assert verdicts[:2] == [False, False]
 
 
 def test_proper_filters(a7):

@@ -9,6 +9,7 @@ import bruteforce as bf
 import tables as tb
 from conftest import build
 from reslat import PreconditionError
+from reslat.algebra import check_tables, validate
 from reslat.classify import classification, is_weakly_disjunctive
 from reslat.search import (
     LatticeSkeleton,
@@ -77,6 +78,13 @@ def test_walk_counters_frozen(n, lattices, counts):
     s = res.stats
     assert res.lattices == lattices
     assert (s.examined, s.pruned, s.found, s.emitted, s.iso_rejected) == counts
+    # The search builds its algebras without validation: every emitted
+    # one must pass check_tables and carry the order validate derives.
+    for alg in res.matches:
+        fields = (alg.names, alg.join, alg.meet, alg.prod, alg.impl,
+                  alg.bottom, alg.top)
+        assert check_tables(*fields) == []
+        assert validate(*fields) == alg
 
 
 def _pairwise_clash(skel, cells, vals, i, v):
@@ -98,7 +106,7 @@ def _pairwise_clash(skel, cells, vals, i, v):
 def test_interval_prune_matches_pairwise_scan(data):
     n = data.draw(st.integers(2, 6))
     skel = data.draw(st.sampled_from(enumerate_lattices(n)))
-    fill = _Fill(skel, "pruned")
+    fill = _Fill(skel)
     i = data.draw(st.integers(0, len(fill.cells) - 1))
     vals = data.draw(st.lists(st.integers(0, n - 1), min_size=i, max_size=i))
     lo, hi = _interval(fill, i, vals)
@@ -129,33 +137,6 @@ def test_two_element_count_is_one():
     algs, stats = enumerate_residuated(skels[0])
     assert len(algs) == 1
     assert (stats.found, stats.emitted, stats.iso_rejected) == (1, 1, 0)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_jobs_and_strategy_stability(n):
-    outcomes = set()
-    reference = None
-    for strategy in ("pruned", "direct"):
-        for jobs in (1, 2, 8):
-            res = mine("true", n, jobs=jobs, strategy=strategy)
-            outcomes.add((len(res.matches), res.stats.found,
-                          res.stats.emitted, res.stats.iso_rejected))
-            forms = tuple(canonical_form(a) for a in res.matches)
-            if reference is None:
-                reference = forms
-            assert forms == reference
-    assert len(outcomes) == 1
-
-
-def test_examined_depends_on_strategy_only():
-    skel = enumerate_lattices(4)[0]
-    runs = {}
-    for strategy in ("pruned", "direct"):
-        counts = {enumerate_residuated(skel, jobs=j, strategy=strategy)[1].examined
-                  for j in (1, 2, 8)}
-        assert len(counts) == 1
-        runs[strategy] = counts.pop()
-    assert runs["pruned"] < runs["direct"]
 
 
 def test_stats_balance():
@@ -191,11 +172,12 @@ def test_names_for():
 
 
 def test_search_parameter_validation():
-    skel = enumerate_lattices(2)[0]
     with pytest.raises(PreconditionError):
-        enumerate_residuated(skel, strategy="fast")
+        mine("true", 8)
     with pytest.raises(PreconditionError):
-        enumerate_residuated(skel, jobs=0)
+        mine("true", 3, n_min=4)
+    with pytest.raises(PreconditionError):
+        mine("true", 3, n_min=0)
 
 
 def test_canonical_form_ignores_labeling(a7):
