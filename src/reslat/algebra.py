@@ -14,7 +14,7 @@ the first failure, so a broken table reports every way it is broken.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 
 from .subsets import contains, elements, from_elements, full_set, render
 
@@ -162,13 +162,42 @@ def check_tables(names, join, meet, prod, impl, bottom, top) -> list[AxiomViolat
     return out
 
 
+_MISSING = object()
+
+
+def derived(fn):
+    """Memoise ``fn(obj, *args)`` in a dict kept in ``obj.__dict__``.
+
+    That is where ``cached_property`` stores its values too, so it works
+    on frozen dataclasses.  The key is ``(fn, *args)``: a lookup hashes
+    the arguments but never ``obj``, whose tables are costly to hash,
+    and the memo is freed with ``obj``.  An exception from ``fn`` is not
+    memoised.  Arguments are positional only.
+    """
+    @wraps(fn)
+    def memoised(obj, *args):
+        state = obj.__dict__
+        memo = state.get("_derived")
+        if memo is None:
+            memo = state["_derived"] = {}
+        key = (fn, *args)
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = fn(obj, *args)
+        return value
+
+    return memoised
+
+
 @dataclass(frozen=True)
 class ResiduatedLattice:
     """Validated operation tables plus the derived order as bit vectors.
 
     up[x] is the subset {y : x <= y}, down[x] is {y : y <= x}.  Instances
-    are immutable and hashable; anything expensive derived from one is
-    cached on first use.
+    are immutable and hashable.  What is derived from one (filters,
+    primes, coannulets, verdicts) lives in a per-instance memo filled by
+    ``derived`` functions and ``cached_property`` attributes, and is
+    freed with the instance.
     """
 
     names: tuple[str, ...]

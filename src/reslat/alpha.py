@@ -15,9 +15,7 @@ agree, since the statement suite checks that theorem only through them.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .algebra import ResiduatedLattice
+from .algebra import ResiduatedLattice, derived
 from .coann import coannihilator, coannulet, coannulet_lattice, double_coannihilator
 from .errors import InternalCheckError, PreconditionError
 from .filters import (
@@ -41,13 +39,13 @@ def is_alpha_filter(alg: ResiduatedLattice, mask: int) -> bool:
                for x in elements(mask))
 
 
-@lru_cache(maxsize=None)
+@derived
 def alpha_family(alg: ResiduatedLattice) -> FilterFamily:
     return FilterFamily(tuple(f for f in all_filters(alg)
                               if is_alpha_filter(alg, f)), TAG_ALPHA)
 
 
-@lru_cache(maxsize=None)
+@derived
 def alpha_closure(alg: ResiduatedLattice, mask: int) -> int:
     """Least double-coannihilator-closed filter containing the subset.
 
@@ -83,7 +81,7 @@ def alpha_join(alg: ResiduatedLattice, f: int, g: int) -> int:
     return alpha_closure(alg, f | g)
 
 
-@lru_cache(maxsize=None)
+@derived
 def alpha_lattice(alg: ResiduatedLattice) -> LatticeView:
     """The alpha filters as a lattice: meet is intersection, join is
     the closure of the union."""
@@ -200,7 +198,7 @@ def is_prime_alpha(alg: ResiduatedLattice, mask: int) -> bool:
     return as_filter
 
 
-@lru_cache(maxsize=None)
+@derived
 def prime_alpha_filters(alg: ResiduatedLattice) -> FilterFamily:
     members = tuple(f for f in alpha_family(alg)
                     if f != alg.universe and is_prime_alpha(alg, f))

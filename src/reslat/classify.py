@@ -12,9 +12,8 @@ let disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .algebra import ResiduatedLattice
+from .algebra import ResiduatedLattice, derived
 from .alpha import is_alpha_filter
 from .coann import coannulet, coannulet_lattice, double_coannihilator
 from .errors import InternalCheckError
@@ -63,14 +62,14 @@ class MapReport:
         return self.injective and self.surjective
 
 
-@lru_cache(maxsize=None)
+@derived
 def element_lattice(alg: ResiduatedLattice) -> LatticeView:
     """The order reduct of the algebra itself, nodes keyed by index."""
     return build_view("elements", tuple(range(alg.n)),
                       lambda x, y: alg.join[x][y], lambda x, y: alg.meet[x][y])
 
 
-@lru_cache(maxsize=None)
+@derived
 def filter_lattice(alg: ResiduatedLattice) -> LatticeView:
     """All filters under inclusion: meet is intersection, join is the
     generated filter of the union."""
@@ -78,14 +77,14 @@ def filter_lattice(alg: ResiduatedLattice) -> LatticeView:
                       lambda f, g: filter_join(alg, f, g), lambda f, g: f & g)
 
 
-@lru_cache(maxsize=None)
+@derived
 def hull_lattice(alg: ResiduatedLattice) -> LatticeView:
     """Hulls of single elements as point sets over the minimal primes."""
     keys = sort_family(hull(alg, singleton(x)) for x in range(alg.n))
     return build_view("hulls", keys, lambda u, v: u | v, lambda u, v: u & v)
 
 
-@lru_cache(maxsize=None)
+@derived
 def cohull_lattice(alg: ResiduatedLattice) -> LatticeView:
     """Complements of the hulls, again under union and intersection."""
     space = full_set(len(minimal_primes(alg)))
@@ -116,7 +115,7 @@ def _map_report(name, domain, codomain, dual, images) -> MapReport:
     )
 
 
-@lru_cache(maxsize=None)
+@derived
 def structure_maps(alg: ResiduatedLattice) -> dict[str, MapReport]:
     """The six maps with their observed kinds."""
     el = element_lattice(alg)
@@ -152,7 +151,7 @@ def structure_maps(alg: ResiduatedLattice) -> dict[str, MapReport]:
 
 # -- kernel partitions -----------------------------------------------------
 
-@lru_cache(maxsize=None)
+@derived
 def element_kernel_by_principal_filter(alg: ResiduatedLattice) -> Congruence:
     """Elements generating the same filter; quotient is the filter
     lattice upside down."""
@@ -160,14 +159,14 @@ def element_kernel_by_principal_filter(alg: ResiduatedLattice) -> Congruence:
                             [principal_filter(alg, x) for x in range(alg.n)])
 
 
-@lru_cache(maxsize=None)
+@derived
 def element_kernel_by_coannulet(alg: ResiduatedLattice) -> Congruence:
     """Elements sharing a coannulet; quotient is the coannulet lattice."""
     return kernel_partition(element_lattice(alg),
                             [coannulet(alg, x) for x in range(alg.n)])
 
 
-@lru_cache(maxsize=None)
+@derived
 def filter_kernel_spectral(alg: ResiduatedLattice) -> Congruence:
     """Filters with equal cohull; coincides with the generator
     coannulet kernel, and the quotient is the coannulet lattice
@@ -232,7 +231,7 @@ def _nilpotent_absorber(alg: ResiduatedLattice, x: int) -> bool:
                for y in range(alg.n))
 
 
-@lru_cache(maxsize=None)
+@derived
 def classification(alg: ResiduatedLattice) -> ClassificationResult:
     maps = structure_maps(alg)
     routes: dict[str, tuple[tuple[str, bool], ...]] = {}

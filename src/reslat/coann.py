@@ -14,9 +14,7 @@ filters goes through the largest ideal inducing each operand.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .algebra import ResiduatedLattice
+from .algebra import ResiduatedLattice, derived
 from .errors import InternalCheckError, PreconditionError
 from .filters import (
     TAG_COANNIHILATOR,
@@ -30,7 +28,7 @@ from .subsets import contains, elements, singleton, sort_family
 from .views import LatticeView, build_view, is_distributive
 
 
-@lru_cache(maxsize=None)
+@derived
 def coannulet(alg: ResiduatedLattice, x: int) -> int:
     """Elements whose join with x is top."""
     out = 0
@@ -40,7 +38,7 @@ def coannulet(alg: ResiduatedLattice, x: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@derived
 def coannihilator(alg: ResiduatedLattice, mask: int) -> int:
     """Elements joining every member of the subset to top: the
     intersection of the member coannulets."""
@@ -70,13 +68,13 @@ def pseudocomplement_check(alg: ResiduatedLattice, f_mask: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@derived
 def coannulet_family(alg: ResiduatedLattice) -> FilterFamily:
     return FilterFamily(sort_family(coannulet(alg, x) for x in range(alg.n)),
                         TAG_COANNULET)
 
 
-@lru_cache(maxsize=None)
+@derived
 def coannihilator_family(alg: ResiduatedLattice) -> FilterFamily:
     """All coannihilators: the coannulets.
 
@@ -88,7 +86,7 @@ def coannihilator_family(alg: ResiduatedLattice) -> FilterFamily:
     return FilterFamily(coannulet_family(alg).members, TAG_COANNIHILATOR)
 
 
-@lru_cache(maxsize=None)
+@derived
 def coannulet_lattice(alg: ResiduatedLattice) -> LatticeView:
     """Coannulets with intersection meet and join through representatives.
 
@@ -109,7 +107,7 @@ def coannulet_lattice(alg: ResiduatedLattice) -> LatticeView:
     return build_view("coannulets", fam.members, jn, mt)
 
 
-@lru_cache(maxsize=None)
+@derived
 def coannihilator_lattice(alg: ResiduatedLattice) -> LatticeView:
     """All coannihilators: meet is intersection, join is the double
     coannihilator of the union."""
@@ -152,7 +150,7 @@ def _ideal_closure(alg: ResiduatedLattice, mask: int) -> int:
         cur = nxt
 
 
-@lru_cache(maxsize=None)
+@derived
 def all_ideals(alg: ResiduatedLattice) -> tuple[int, ...]:
     """Every lattice ideal, grown from the bottom by closure extensions."""
     start = _ideal_closure(alg, 0)
@@ -184,13 +182,13 @@ def omega_filter(alg: ResiduatedLattice, ideal_mask: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@derived
 def omega_family(alg: ResiduatedLattice) -> FilterFamily:
     return FilterFamily(sort_family(omega_filter(alg, i) for i in all_ideals(alg)),
                         TAG_OMEGA)
 
 
-@lru_cache(maxsize=None)
+@derived
 def canonical_ideal_of(alg: ResiduatedLattice, f_mask: int) -> int:
     """The largest ideal inducing the given omega filter: the union of
     all ideals inducing it, itself an ideal inducing the same filter."""
@@ -203,7 +201,7 @@ def canonical_ideal_of(alg: ResiduatedLattice, f_mask: int) -> int:
     return union
 
 
-@lru_cache(maxsize=None)
+@derived
 def omega_filter_lattice(alg: ResiduatedLattice) -> LatticeView:
     """Omega filters: meet is intersection, join through canonical ideals.
 

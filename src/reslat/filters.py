@@ -13,9 +13,8 @@ is principal, generated by the product of its members.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .algebra import ResiduatedLattice
+from .algebra import ResiduatedLattice, derived
 from .errors import PreconditionError
 from .subsets import contains, elements, full_set, singleton, sort_family
 
@@ -63,7 +62,7 @@ def is_filter(alg: ResiduatedLattice, mask: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@derived
 def generated_filter(alg: ResiduatedLattice, mask: int) -> int:
     """Least filter containing the subset; the empty subset gives {top}."""
     cur = mask | singleton(alg.top)
@@ -79,7 +78,7 @@ def generated_filter(alg: ResiduatedLattice, mask: int) -> int:
         cur = nxt
 
 
-@lru_cache(maxsize=None)
+@derived
 def principal_filter(alg: ResiduatedLattice, x: int) -> int:
     return generated_filter(alg, singleton(x))
 
@@ -100,7 +99,7 @@ def extend_filter(alg: ResiduatedLattice, f_mask: int, x: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@derived
 def all_filters(alg: ResiduatedLattice) -> FilterFamily:
     """Every filter: on a finite carrier each one is principal, so the
     principal filters of single elements are all of them."""

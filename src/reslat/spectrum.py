@@ -12,9 +12,8 @@ same subset of points always prints the same way.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .algebra import ResiduatedLattice
+from .algebra import ResiduatedLattice, derived
 from .errors import PreconditionError
 from .filters import (
     TAG_MAX,
@@ -54,21 +53,21 @@ def is_prime(alg: ResiduatedLattice, mask: int) -> PrimeWitness:
     return PrimeWitness(mask, None)
 
 
-@lru_cache(maxsize=None)
+@derived
 def prime_filters(alg: ResiduatedLattice) -> FilterFamily:
     members = [f for f in all_filters(alg)
                if f != alg.universe and is_prime(alg, f)]
     return FilterFamily(sort_family(members), TAG_PRIME)
 
 
-@lru_cache(maxsize=None)
+@derived
 def maximal_filters(alg: ResiduatedLattice) -> FilterFamily:
     props = [f for f in all_filters(alg) if f != alg.universe]
     members = [f for f in props if not any(f != g and f & g == f for g in props)]
     return FilterFamily(sort_family(members), TAG_MAX)
 
 
-@lru_cache(maxsize=None)
+@derived
 def minimal_primes(alg: ResiduatedLattice) -> FilterFamily:
     ps = prime_filters(alg).members
     members = [p for p in ps if not any(q != p and q & p == q for q in ps)]
@@ -152,7 +151,7 @@ def _join_closure(alg: ResiduatedLattice, mask: int) -> int:
         cur = nxt
 
 
-@lru_cache(maxsize=None)
+@derived
 def join_closed_sets(alg: ResiduatedLattice) -> tuple[int, ...]:
     """Every nonempty join-closed subset, for exhaustive quantification."""
     return tuple(m for m in range(1, alg.universe + 1) if _join_closure(alg, m) == m)
@@ -238,7 +237,7 @@ def _from_open_basis(points: FilterFamily, basis: tuple[int, ...]) -> Topology:
     return Topology(points, sort_family(opens), sort_family(basis))
 
 
-@lru_cache(maxsize=None)
+@derived
 def hull_topology(alg: ResiduatedLattice) -> Topology:
     """Topology with the hulls of single elements as a closed basis."""
     pts = minimal_primes(alg)
@@ -261,7 +260,7 @@ def hull_topology(alg: ResiduatedLattice) -> Topology:
     return Topology(pts, sort_family(opens), open_basis)
 
 
-@lru_cache(maxsize=None)
+@derived
 def dual_hull_topology(alg: ResiduatedLattice) -> Topology:
     """Topology with the same hulls taken as an open basis."""
     pts = minimal_primes(alg)

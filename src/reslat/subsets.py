@@ -31,12 +31,11 @@ def contains(mask: int, x: int) -> bool:
 
 
 def elements(mask: int) -> Iterator[int]:
-    x = 0
+    """Members in ascending order, visiting only the set bits."""
     while mask:
-        if mask & 1:
-            yield x
-        mask >>= 1
-        x += 1
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def size(mask: int) -> int:

@@ -10,9 +10,10 @@ and quotient machinery apply uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Hashable, Sequence
 
+from .algebra import derived
 from .errors import InternalCheckError, PreconditionError
 
 Key = Hashable
@@ -100,7 +101,7 @@ def is_boolean(view: LatticeView) -> bool:
     return all(complements_in(view, i) for i in range(view.n))
 
 
-@lru_cache(maxsize=None)
+@derived
 def view_filters(view: LatticeView) -> tuple[int, ...]:
     """Every lattice filter of the view, as masks over node indices.
 

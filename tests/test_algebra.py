@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 import bruteforce as bf
 import tables as tb
 from conftest import build, catalog5, mask_of
-from reslat import InvalidAlgebraError, validate
+from reslat import InvalidAlgebraError, PreconditionError, validate
+from reslat.alpha import alpha_lattice
+from reslat.classify import classification
+from reslat.coann import all_ideals, canonical_ideal_of, omega_family
+from reslat.suite import verify_suite
+from reslat.views import view_filters
 
 
 def test_a7_validates(a7):
@@ -122,3 +130,29 @@ def test_center_complement_is_the_negation(bundled):
         for e in range(alg.n):
             if alg.boolean_center >> e & 1:
                 assert alg.complements_of(e) == (alg.neg(e),)
+
+
+def test_derived_results_are_freed_with_the_algebra():
+    alg = build(tb.A7)
+    classification(alg)
+    verify_suite(alg)
+    view = alpha_lattice(alg)
+    view_filters(view)
+    refs = (weakref.ref(alg), weakref.ref(view))
+    del alg, view
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_derived_memoises_results_and_not_errors(a7):
+    assert omega_family(a7) is omega_family(a7)
+    not_omega = 0  # the empty set is not even a filter
+    assert not_omega not in omega_family(a7).members
+    for _ in range(2):
+        with pytest.raises(PreconditionError) as exc:
+            canonical_ideal_of(a7, not_omega)
+        assert exc.value.__context__ is None
+    assert canonical_ideal_of.__name__ == "canonical_ideal_of"
+    assert canonical_ideal_of.__doc__.startswith("The largest ideal inducing")
+    assert all_ideals.__wrapped__(a7) == all_ideals(a7)
+
