@@ -16,7 +16,7 @@ agree, since the statement suite checks that theorem only through them.
 from __future__ import annotations
 
 from .algebra import ResiduatedLattice, derived
-from .coann import coannihilator, coannulet, coannulet_lattice, double_coannihilator
+from .coann import coannulet, coannulet_lattice, double_coannihilator
 from .errors import InternalCheckError, PreconditionError
 from .filters import (
     TAG_ALPHA,
@@ -45,19 +45,24 @@ def alpha_family(alg: ResiduatedLattice) -> FilterFamily:
                               if is_alpha_filter(alg, f)), TAG_ALPHA)
 
 
-@derived
 def alpha_closure(alg: ResiduatedLattice, mask: int) -> int:
     """Least double-coannihilator-closed filter containing the subset.
 
     Built as the union of member double coannihilators over the
-    generated filter.
+    generated filter, so it is memoised per filter, not per subset.
     """
+    return _closure_of_filter(alg, generated_filter(alg, mask))
+
+
+@derived
+def _closure_of_filter(alg: ResiduatedLattice, f_mask: int) -> int:
     out = 0
-    for x in elements(generated_filter(alg, mask)):
+    for x in elements(f_mask):
         out |= double_coannihilator(alg, singleton(x))
     return out
 
 
+@derived
 def alpha_extend(alg: ResiduatedLattice, f_mask: int, x: int) -> int:
     """Least alpha filter containing F and x.
 

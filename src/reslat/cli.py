@@ -14,6 +14,7 @@ import argparse
 import os
 import sys
 import time
+from collections.abc import Iterator
 
 from .algebra import InvalidAlgebraError, ResiduatedLattice
 from .alpha import (alpha_closure, alpha_family, is_alpha_filter,
@@ -26,7 +27,7 @@ from .coann import (all_ideals, coannihilator_family, coannihilator_lattice,
 from .errors import InternalCheckError, PreconditionError
 from .filters import all_filters, principal_generator
 from .io import (BUNDLED, NamedAlgebra, ParseError, bundled_names,
-                 check_stream, load_bundled, parse_stream, render_algebra,
+                 check_stream, iter_stream, load_bundled, render_algebra,
                  render_stream)
 from .report import ReportBuilder
 from .search import MAX_CARRIER, ZERO_STATS, mine
@@ -88,25 +89,28 @@ def _read_source(token: str) -> tuple[str, str]:
 
 
 def _label_docs(stem, docs):
-    out = []
-    for i, doc in enumerate(docs, start=1):
+    """(label, algebra) per document: its own label, else the source's
+    stem, numbered when the source holds more than one document."""
+    docs = iter(docs)
+    ahead = next(docs, None)
+    i = 0
+    while ahead is not None:
+        doc, ahead = ahead, next(docs, None)
+        i += 1
         label = doc.label
         if label is None:
-            label = stem if len(docs) == 1 else f"{stem}#{i}"
-        out.append((label, doc.algebra))
-    return out
+            label = stem if i == 1 and ahead is None else f"{stem}#{i}"
+        yield label, doc.algebra
 
 
-def _load_algebras(tokens) -> list[tuple[str, ResiduatedLattice]]:
-    out = []
+def _load_algebras(tokens) -> Iterator[tuple[str, ResiduatedLattice]]:
+    """Every document of every source, each parsed when reached."""
     for token in tokens:
         stem, text = _read_source(token)
         try:
-            docs = parse_stream(text)
+            yield from _label_docs(stem, iter_stream(text))
         except InvalidAlgebraError as exc:
             raise _DomainError(f"{token}: {exc}") from exc
-        out.extend(_label_docs(stem, docs))
-    return out
 
 
 # -- commands --------------------------------------------------------------
@@ -152,15 +156,27 @@ def _covers_text(alg: ResiduatedLattice) -> str:
 
 
 def _per_doc(command, args, build) -> int:
-    """Shared frame: one text block and one data record per document."""
+    """Shared frame: one text block and one data record per document.
+
+    Documents are parsed one at a time, and each algebra, with all that
+    was derived from it, is freed before the next one is analysed.
+    """
     rep = ReportBuilder(command)
     items = []
     worst = EXIT_OK
-    for i, (label, alg) in enumerate(_load_algebras(args.inputs)):
+    docs = _load_algebras(args.inputs)
+    for i, (label, alg) in enumerate(docs):
         if i:
             rep.line()
         item = {"label": label}
-        code = build(args, rep, item, label, alg)
+        try:
+            code = build(args, rep, item, label, alg)
+        except (_UsageError, _DomainError, PreconditionError, InternalCheckError):
+            # An unreadable later document outranks this error, as it
+            # did when every document was parsed before any analysis.
+            for _ in docs:
+                pass
+            raise
         worst = max(worst, code or EXIT_OK)
         items.append(item)
     rep.set("algebras", items)

@@ -5,9 +5,10 @@ join, hence an up-set.  Filter families carry a provenance tag and keep
 the canonical order from subsets.sort_family, so every listing of the
 same family renders identically.
 
-Generated filters come with a closed form: the extension of F by x is
-every element above some f * x^k, and on a finite carrier every filter
-is principal, generated by the product of its members.
+Generated filters come with closed forms: the filter a subset generates
+is everything above the idempotent power of the product of its members,
+the extension of F by x is every element above some f * x^k, and so on
+a finite carrier every filter is principal.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import ResiduatedLattice, derived
 from .errors import PreconditionError
-from .subsets import contains, elements, full_set, singleton, sort_family
+from .subsets import contains, elements, singleton, sort_family
 
 TAG_ALL = "ALL"
 TAG_PRIME = "PRIME"
@@ -50,6 +51,7 @@ class FilterFamily:
         return self.members.index(mask)
 
 
+@derived
 def is_filter(alg: ResiduatedLattice, mask: int) -> bool:
     if mask == 0:
         return False
@@ -64,25 +66,27 @@ def is_filter(alg: ResiduatedLattice, mask: int) -> bool:
 
 @derived
 def generated_filter(alg: ResiduatedLattice, mask: int) -> int:
-    """Least filter containing the subset; the empty subset gives {top}."""
-    cur = mask | singleton(alg.top)
+    """Least filter containing the subset; the empty subset gives {top}.
+
+    Closed form: everything above the idempotent power of p, the product
+    of the members.  Every product of members with repetition lies above
+    some power of p, the powers of p only fall (p <= top, the unit), and
+    squaring p until it stops changing reaches the power that all later
+    ones equal.
+    """
+    p = alg.product_of(mask)
     while True:
-        nxt = cur
-        for x in elements(cur):
-            nxt |= alg.up[x]
-        for x in elements(nxt):
-            for y in elements(nxt):
-                nxt |= singleton(alg.prod[x][y])
-        if nxt == cur:
-            return cur
-        cur = nxt
+        sq = alg.prod[p][p]
+        if sq == p:
+            return alg.up[p]
+        p = sq
 
 
-@derived
 def principal_filter(alg: ResiduatedLattice, x: int) -> int:
     return generated_filter(alg, singleton(x))
 
 
+@derived
 def extend_filter(alg: ResiduatedLattice, f_mask: int, x: int) -> int:
     """Extension of a filter by one element, via its closed form.
 

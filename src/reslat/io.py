@@ -24,6 +24,7 @@ algebra.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -177,15 +178,18 @@ def _split(text: str):
     return list(zip(docs, starts))
 
 
-def parse_stream(text: str) -> tuple[NamedAlgebra, ...]:
-    """Every document in the text, in order."""
-    out = []
+def iter_stream(text: str) -> Iterator[NamedAlgebra]:
+    """Every document in the text, in order, each parsed when reached."""
     for doc, start in _split(text):
         label, names, tables, bottom, top = _parse_one(doc, start)
         alg = validate(names, tables["join"], tables["meet"],
                        tables["prod"], tables["impl"], bottom, top)
-        out.append(NamedAlgebra(label, alg))
-    return tuple(out)
+        yield NamedAlgebra(label, alg)
+
+
+def parse_stream(text: str) -> tuple[NamedAlgebra, ...]:
+    """Every document in the text, in order."""
+    return tuple(iter_stream(text))
 
 
 @dataclass(frozen=True)

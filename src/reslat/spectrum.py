@@ -22,9 +22,8 @@ from .filters import (
     TAG_PRIME,
     FilterFamily,
     all_filters,
-    generated_filter,
+    extend_filter,
     is_filter,
-    principal_generator,
 )
 from .subsets import contains, elements, full_set, singleton, sort_family
 
@@ -40,6 +39,7 @@ class PrimeWitness:
         return self.failure is None
 
 
+@derived
 def is_prime(alg: ResiduatedLattice, mask: int) -> PrimeWitness:
     """Primality of a proper filter, with a witness pair on failure."""
     if not is_filter(alg, mask):
@@ -81,16 +81,17 @@ def minimal_primes_over(alg: ResiduatedLattice, x_mask: int) -> FilterFamily:
     return FilterFamily(sort_family(members), TAG_MIN_OVER)
 
 
+@derived
 def _check_join_closed(alg: ResiduatedLattice, c_mask: int) -> None:
     if c_mask == 0:
         raise PreconditionError("the avoided set must be nonempty")
     for x in elements(c_mask):
-        for y in elements(c_mask):
-            j = alg.join[x][y]
-            if not contains(c_mask, j):
+        row = alg.join[x]
+        for y in elements(c_mask >> x << x):
+            if not contains(c_mask, row[y]):
                 raise PreconditionError(
-                    f"avoided set not closed under join: {alg.names[x]} v {alg.names[y]} "
-                    f"= {alg.names[j]} escapes it")
+                    f"avoided set not closed under join: {alg.names[x]} v "
+                    f"{alg.names[y]} = {alg.names[row[y]]} escapes it")
 
 
 def separate(alg: ResiduatedLattice, f_mask: int, c_mask: int) -> int:
@@ -115,7 +116,7 @@ def separate(alg: ResiduatedLattice, f_mask: int, c_mask: int) -> int:
         for x in range(alg.n):
             if contains(cur, x):
                 continue
-            ext = generated_filter(alg, cur | singleton(x))
+            ext = extend_filter(alg, cur, x)
             if ext & c_mask == 0:
                 cur = ext
                 changed = True
@@ -153,8 +154,21 @@ def _join_closure(alg: ResiduatedLattice, mask: int) -> int:
 
 @derived
 def join_closed_sets(alg: ResiduatedLattice) -> tuple[int, ...]:
-    """Every nonempty join-closed subset, for exhaustive quantification."""
-    return tuple(m for m in range(1, alg.universe + 1) if _join_closure(alg, m) == m)
+    """Every nonempty join-closed subset, for exhaustive quantification.
+
+    joins[m] collects the joins of pairs of members of m.  With two or
+    more members, every pair but (lowest, highest) stays inside m less
+    one of those two, so each entry costs two lookups and one join.
+    """
+    joins = [0]
+    for m in range(1, alg.universe + 1):
+        low, high = (m & -m).bit_length() - 1, m.bit_length() - 1
+        if low == high:
+            joins.append(m)
+        else:
+            joins.append(joins[m ^ singleton(low)] | joins[m ^ singleton(high)]
+                         | singleton(alg.join[low][high]))
+    return tuple(m for m in range(1, alg.universe + 1) if joins[m] & ~m == 0)
 
 
 def prime_core(alg: ResiduatedLattice, p_mask: int) -> int:
@@ -210,12 +224,6 @@ class Topology:
     @property
     def space(self) -> int:
         return full_set(len(self.points))
-
-    def closed_sets(self) -> tuple[int, ...]:
-        return sort_family(self.space & ~u for u in self.opens)
-
-    def is_open(self, s: int) -> bool:
-        return s in self.opens
 
     def is_clopen(self, s: int) -> bool:
         return s in self.opens and (self.space & ~s) in self.opens

@@ -104,12 +104,17 @@ class TheoremReport:
 
 
 def _law(checks) -> tuple[tuple[tuple[str, bool], ...], bool, str]:
-    """Universal statement: every described instance must hold."""
+    """Universal statement: every described instance must hold.
+
+    Each instance comes as (describe, ok), describe a function returning
+    its text.  Only a failing instance is described, and before the
+    generator advances, while the loop variables it reads are current.
+    """
     count = 0
-    for desc, ok in checks:
+    for describe, ok in checks:
         count += 1
         if not ok:
-            return ((("holds", False),), False, f"fails at {desc}")
+            return ((("holds", False),), False, f"fails at {describe()}")
     return ((("holds", True),), True, f"checked {count} instances")
 
 
@@ -133,19 +138,19 @@ def _residuation_basics(alg):
     def gen():
         rng = range(alg.n)
         for x in rng:
-            yield f"1 -> {alg.names[x]}", alg.impl[alg.top][x] == x
-            yield f"{alg.names[x]} -> 1", alg.impl[x][alg.top] == alg.top
+            yield lambda: f"1 -> {alg.names[x]}", alg.impl[alg.top][x] == x
+            yield lambda: f"{alg.names[x]} -> 1", alg.impl[x][alg.top] == alg.top
             for y in rng:
-                yield (f"{alg.names[x]} * ({alg.names[x]} -> {alg.names[y]})",
+                yield (lambda: f"{alg.names[x]} * ({alg.names[x]} -> {alg.names[y]})",
                        alg.leq(alg.prod[x][alg.impl[x][y]], y))
-                yield (f"order vs implication at ({alg.names[x]}, {alg.names[y]})",
+                yield (lambda: f"order vs implication at ({alg.names[x]}, {alg.names[y]})",
                        alg.leq(x, y) == (alg.impl[x][y] == alg.top))
-                yield (f"{alg.names[y]} below {alg.names[x]} -> {alg.names[y]}",
+                yield (lambda: f"{alg.names[y]} below {alg.names[x]} -> {alg.names[y]}",
                        alg.leq(y, alg.impl[x][y]))
                 for z in rng:
-                    yield (f"currying at ({alg.names[x]}, {alg.names[y]}, {alg.names[z]})",
+                    yield (lambda: f"currying at ({alg.names[x]}, {alg.names[y]}, {alg.names[z]})",
                            alg.impl[x][alg.impl[y][z]] == alg.impl[alg.prod[x][y]][z])
-                    yield (f"implication chain at ({alg.names[x]}, {alg.names[y]}, "
+                    yield (lambda: f"implication chain at ({alg.names[x]}, {alg.names[y]}, "
                            f"{alg.names[z]})",
                            alg.leq(alg.prod[alg.impl[x][y]][alg.impl[y][z]],
                                    alg.impl[x][z]))
@@ -159,7 +164,7 @@ def _product_join_distributivity(alg):
                 for z in range(alg.n):
                     lhs = alg.prod[x][alg.join[y][z]]
                     rhs = alg.join[alg.prod[x][y]][alg.prod[x][z]]
-                    yield (f"{alg.names[x]} * ({alg.names[y]} v {alg.names[z]})",
+                    yield (lambda: f"{alg.names[x]} * ({alg.names[y]} v {alg.names[z]})",
                            lhs == rhs)
     return _law(gen())
 
@@ -174,7 +179,7 @@ def _power_join_bound(alg):
                             continue
                         lhs = alg.power(alg.join[x][y], m + k)
                         rhs = alg.join[alg.power(x, m)][alg.power(y, k)]
-                        yield (f"({alg.names[x]} v {alg.names[y]})^{m + k} vs "
+                        yield (lambda: f"({alg.names[x]} v {alg.names[y]})^{m + k} vs "
                                f"{alg.names[x]}^{m} v {alg.names[y]}^{k}",
                                alg.leq(lhs, rhs))
     return _law(gen())
@@ -182,18 +187,18 @@ def _power_join_bound(alg):
 
 def _negation_basics(alg):
     def gen():
-        yield "negation of 0", alg.neg(alg.bottom) == alg.top
-        yield "negation of 1", alg.neg(alg.top) == alg.bottom
+        yield lambda: "negation of 0", alg.neg(alg.bottom) == alg.top
+        yield lambda: "negation of 1", alg.neg(alg.top) == alg.bottom
         for x in range(alg.n):
-            yield (f"{alg.names[x]} * its negation",
+            yield (lambda: f"{alg.names[x]} * its negation",
                    alg.prod[x][alg.neg(x)] == alg.bottom)
-            yield (f"{alg.names[x]} under double negation",
+            yield (lambda: f"{alg.names[x]} under double negation",
                    alg.leq(x, alg.neg(alg.neg(x))))
-            yield (f"triple negation of {alg.names[x]}",
+            yield (lambda: f"triple negation of {alg.names[x]}",
                    alg.neg(alg.neg(alg.neg(x))) == alg.neg(x))
             for y in range(alg.n):
                 if alg.leq(x, y):
-                    yield (f"negation reverses {alg.names[x]} <= {alg.names[y]}",
+                    yield (lambda: f"negation reverses {alg.names[x]} <= {alg.names[y]}",
                            alg.leq(alg.neg(y), alg.neg(x)))
     return _law(gen())
 
@@ -202,20 +207,20 @@ def _center_structure(alg):
     center = alg.boolean_center
     def gen():
         for e in elements(center):
-            yield f"{alg.names[e]} idempotent", alg.prod[e][e] == e
-            yield (f"{alg.names[e]} joins its negation to 1",
+            yield lambda: f"{alg.names[e]} idempotent", alg.prod[e][e] == e
+            yield (lambda: f"{alg.names[e]} joins its negation to 1",
                    alg.join[e][alg.neg(e)] == alg.top)
-            yield (f"double negation fixes {alg.names[e]}",
+            yield (lambda: f"double negation fixes {alg.names[e]}",
                    alg.neg(alg.neg(e)) == e)
-            yield (f"negation of {alg.names[e]} stays central",
+            yield (lambda: f"negation of {alg.names[e]} stays central",
                    contains(center, alg.neg(e)))
             for x in range(alg.n):
-                yield (f"{alg.names[e]} meet vs product at {alg.names[x]}",
+                yield (lambda: f"{alg.names[e]} meet vs product at {alg.names[x]}",
                        alg.meet[e][x] == alg.prod[e][x])
             for f in elements(center):
-                yield (f"center closed under join at ({alg.names[e]}, {alg.names[f]})",
+                yield (lambda: f"center closed under join at ({alg.names[e]}, {alg.names[f]})",
                        contains(center, alg.join[e][f]))
-                yield (f"center closed under meet at ({alg.names[e]}, {alg.names[f]})",
+                yield (lambda: f"center closed under meet at ({alg.names[e]}, {alg.names[f]})",
                        contains(center, alg.meet[e][f]))
     return _law(gen())
 
@@ -227,15 +232,15 @@ def _filters_closure_system(alg):
     def gen():
         for f in fam:
             for g in fam:
-                yield (f"intersection of {alg.subset_str(f)} and {alg.subset_str(g)}",
+                yield (lambda: f"intersection of {alg.subset_str(f)} and {alg.subset_str(g)}",
                        f & g in fam)
         for mask in range(alg.universe + 1):
             gen_f = generated_filter(alg, mask)
-            yield (f"generated filter of {alg.subset_str(mask)} is a filter",
+            yield (lambda: f"generated filter of {alg.subset_str(mask)} is a filter",
                    gen_f in fam)
-            yield (f"generation is extensive at {alg.subset_str(mask)}",
+            yield (lambda: f"generation is extensive at {alg.subset_str(mask)}",
                    mask & ~gen_f == 0)
-            yield (f"generated filter of {alg.subset_str(mask)} is least",
+            yield (lambda: f"generated filter of {alg.subset_str(mask)} is least",
                    all(not (mask & ~f == 0 and gen_f & ~f) for f in fam))
     return _law(gen())
 
@@ -243,9 +248,9 @@ def _filters_closure_system(alg):
 def _filter_lattice_frame(alg):
     members = all_filters(alg).members
     def gen():
-        yield "bottom is the top singleton", members[0] == singleton(alg.top)
-        yield "top is the whole carrier", members[-1] == alg.universe
-        yield "meets distribute over every join of subfamilies", frame_check(members)
+        yield lambda: "bottom is the top singleton", members[0] == singleton(alg.top)
+        yield lambda: "top is the whole carrier", members[-1] == alg.universe
+        yield lambda: "meets distribute over every join of subfamilies", frame_check(members)
     return _law(gen())
 
 
@@ -253,13 +258,18 @@ def _finite_principality(alg):
     def gen():
         for f in all_filters(alg):
             g = principal_generator(alg, f)
-            yield (f"{alg.subset_str(f)} regenerated from {alg.names[g]}",
+            yield (lambda: f"{alg.subset_str(f)} regenerated from {alg.names[g]}",
                    principal_filter(alg, g) == f)
+        # grown[mask] adjoins the members of mask one at a time, lowest
+        # last, by the closed-form extension: a route to the generated
+        # filter that shares no code with the principal filter.
+        grown = [singleton(alg.top)]
         for mask in range(alg.universe + 1):
-            gen_f = generated_filter(alg, mask)
-            prod = alg.product_of(mask)
-            yield (f"filter of {alg.subset_str(mask)} vs its product",
-                   gen_f == principal_filter(alg, prod))
+            if mask:
+                low = mask & -mask
+                grown.append(extend_filter(alg, grown[mask ^ low], low.bit_length() - 1))
+            yield (lambda: f"filter of {alg.subset_str(mask)} vs its product",
+                   grown[mask] == principal_filter(alg, alg.product_of(mask)))
     return _law(gen())
 
 
@@ -268,11 +278,11 @@ def _filter_extension_law(alg):
         for f in all_filters(alg):
             for x in range(alg.n):
                 ext = extend_filter(alg, f, x)
-                yield (f"extension of {alg.subset_str(f)} by {alg.names[x]}",
+                yield (lambda: f"extension of {alg.subset_str(f)} by {alg.names[x]}",
                        ext == generated_filter(alg, f | singleton(x)))
                 for y in range(alg.n):
                     if alg.leq(x, y):
-                        yield (f"extension antitone at {alg.names[x]} <= {alg.names[y]}",
+                        yield (lambda: f"extension antitone at {alg.names[x]} <= {alg.names[y]}",
                                extend_filter(alg, f, y) & ~ext == 0)
     return _law(gen())
 
@@ -286,8 +296,8 @@ def _prime_pair_laws(alg):
                               if contains(p, alg.join[x][y]))
             filterwise = all(f & ~p == 0 or g & ~p == 0
                              for f in fam for g in fam if f & g & ~p == 0)
-            yield (f"pair laws at {alg.subset_str(p)}", elementwise == filterwise)
-            yield (f"declared verdict at {alg.subset_str(p)}",
+            yield (lambda: f"pair laws at {alg.subset_str(p)}", elementwise == filterwise)
+            yield (lambda: f"declared verdict at {alg.subset_str(p)}",
                    elementwise == bool(is_prime(alg, p)))
     return _law(gen())
 
@@ -295,8 +305,8 @@ def _prime_pair_laws(alg):
 def _maximal_implies_prime(alg):
     def gen():
         for m in maximal_filters(alg):
-            yield f"{alg.subset_str(m)} prime", bool(is_prime(alg, m))
-            yield (f"{alg.subset_str(m)} maximal among proper filters",
+            yield lambda: f"{alg.subset_str(m)} prime", bool(is_prime(alg, m))
+            yield (lambda: f"{alg.subset_str(m)} maximal among proper filters",
                    all(not (m & ~f == 0 and f != m) for f in proper_filters(alg)))
     return _law(gen())
 
@@ -308,7 +318,7 @@ def _prime_separation(alg):
                 if f & c:
                     continue
                 p = separate(alg, f, c)
-                yield (f"separating {alg.subset_str(f)} from {alg.subset_str(c)}",
+                yield (lambda: f"separating {alg.subset_str(f)} from {alg.subset_str(c)}",
                        bool(is_prime(alg, p)) and f & ~p == 0 and p & c == 0)
     return _law(gen())
 
@@ -317,12 +327,12 @@ def _primes_reach_bottom(alg):
     mins = minimal_primes(alg).members
     def gen():
         for p in prime_filters(alg):
-            yield (f"{alg.subset_str(p)} contains a minimal prime",
+            yield (lambda: f"{alg.subset_str(p)} contains a minimal prime",
                    any(m & ~p == 0 for m in mins))
         inter = alg.universe
         for m in mins:
             inter &= m
-        yield "intersection of minimal primes is trivial", inter == singleton(alg.top)
+        yield lambda: "intersection of minimal primes is trivial", inter == singleton(alg.top)
     return _law(gen())
 
 
@@ -332,8 +342,8 @@ def _minimal_prime_complement_law(alg):
             listed = p in minimal_primes(alg).members
             route = is_minimal_prime(alg, p)
             perp_route = all(coannulet(alg, x) & ~p for x in elements(p))
-            yield (f"complement route at {alg.subset_str(p)}", route == listed)
-            yield (f"coannulet route at {alg.subset_str(p)}", perp_route == listed)
+            yield (lambda: f"complement route at {alg.subset_str(p)}", route == listed)
+            yield (lambda: f"coannulet route at {alg.subset_str(p)}", perp_route == listed)
     return _law(gen())
 
 
@@ -341,17 +351,17 @@ def _prime_core_properties(alg):
     def gen():
         for p in prime_filters(alg):
             comp = alg.universe & ~p
-            yield (f"complement of {alg.subset_str(p)} is an ideal",
+            yield (lambda: f"complement of {alg.subset_str(p)} is an ideal",
                    is_lattice_ideal(alg, comp))
             core = prime_core(alg, p)
-            yield (f"core of {alg.subset_str(p)} via its complement ideal",
+            yield (lambda: f"core of {alg.subset_str(p)} via its complement ideal",
                    core == omega_filter(alg, comp))
             inter = alg.universe
             for m in minimal_primes(alg):
                 if m & ~p == 0:
                     inter &= m
-            yield (f"core of {alg.subset_str(p)} via minimal primes", core == inter)
-            yield f"core sits inside {alg.subset_str(p)}", core & ~p == 0
+            yield (lambda: f"core of {alg.subset_str(p)} via minimal primes", core == inter)
+            yield lambda: f"core sits inside {alg.subset_str(p)}", core & ~p == 0
     return _law(gen())
 
 
@@ -361,16 +371,16 @@ def _coannihilator_galois(alg):
     def gen():
         for x_mask in range(alg.universe + 1):
             perp = coannihilator(alg, x_mask)
-            yield f"{alg.subset_str(x_mask)} perp is a filter", is_filter(alg, perp)
-            yield (f"{alg.subset_str(x_mask)} inside its double perp",
+            yield lambda: f"{alg.subset_str(x_mask)} perp is a filter", is_filter(alg, perp)
+            yield (lambda: f"{alg.subset_str(x_mask)} inside its double perp",
                    x_mask & ~double_coannihilator(alg, x_mask) == 0)
-            yield (f"triple perp collapses at {alg.subset_str(x_mask)}",
+            yield (lambda: f"triple perp collapses at {alg.subset_str(x_mask)}",
                    coannihilator(alg, double_coannihilator(alg, x_mask)) == perp)
-            yield (f"perp matches generated filter at {alg.subset_str(x_mask)}",
+            yield (lambda: f"perp matches generated filter at {alg.subset_str(x_mask)}",
                    coannihilator(alg, generated_filter(alg, x_mask)) == perp)
             for y_mask in (x_mask | singleton(alg.bottom),
                            x_mask | singleton(alg.top), alg.universe):
-                yield (f"antitone from {alg.subset_str(x_mask)} into "
+                yield (lambda: f"antitone from {alg.subset_str(x_mask)} into "
                        f"{alg.subset_str(y_mask)}",
                        coannihilator(alg, y_mask) & ~perp == 0)
     return _law(gen())
@@ -379,20 +389,20 @@ def _coannihilator_galois(alg):
 def _coannulet_arithmetic(alg):
     view = coannulet_lattice(alg)
     def gen():
-        yield "bottom coannulet is trivial", \
+        yield lambda: "bottom coannulet is trivial", \
             coannulet(alg, alg.bottom) == singleton(alg.top)
-        yield "top coannulet is everything", coannulet(alg, alg.top) == alg.universe
+        yield lambda: "top coannulet is everything", coannulet(alg, alg.top) == alg.universe
         for x in range(alg.n):
             for y in range(alg.n):
                 jx, jy = view.index(coannulet(alg, x)), view.index(coannulet(alg, y))
-                yield (f"join transfers at ({alg.names[x]}, {alg.names[y]})",
+                yield (lambda: f"join transfers at ({alg.names[x]}, {alg.names[y]})",
                        view.keys[view.join[jx][jy]] == coannulet(alg, alg.join[x][y]))
-                yield (f"product and meet agree at ({alg.names[x]}, {alg.names[y]})",
+                yield (lambda: f"product and meet agree at ({alg.names[x]}, {alg.names[y]})",
                        coannulet(alg, alg.prod[x][y]) ==
                        coannulet(alg, alg.meet[x][y]) ==
                        coannulet(alg, x) & coannulet(alg, y))
                 if alg.leq(x, y):
-                    yield (f"monotone at {alg.names[x]} <= {alg.names[y]}",
+                    yield (lambda: f"monotone at {alg.names[x]} <= {alg.names[y]}",
                            coannulet(alg, x) & ~coannulet(alg, y) == 0)
     return _law(gen())
 
@@ -400,7 +410,7 @@ def _coannulet_arithmetic(alg):
 def _coannihilator_pseudocomplement(alg):
     def gen():
         for f in all_filters(alg):
-            yield (f"perp of {alg.subset_str(f)} is its pseudocomplement",
+            yield (lambda: f"perp of {alg.subset_str(f)} is its pseudocomplement",
                    pseudocomplement_check(alg, f))
     return _law(gen())
 
@@ -409,12 +419,12 @@ def _coannihilator_lattice_boolean(alg):
     big = coannihilator_lattice(alg)
     small = coannulet_lattice(alg)
     def gen():
-        yield "coannihilator lattice is Boolean", is_boolean(big)
-        yield "coannulets form a bounded sublattice", is_sublattice(small, big)
+        yield lambda: "coannihilator lattice is Boolean", is_boolean(big)
+        yield lambda: "coannulets form a bounded sublattice", is_sublattice(small, big)
         for u in big.keys:
             comp = coannihilator(alg, u)
             i, j = big.index(u), big.index(comp)
-            yield (f"perp complements {alg.subset_str(u)}",
+            yield (lambda: f"perp complements {alg.subset_str(u)}",
                    big.keys[big.meet[i][j]] == singleton(alg.top)
                    and big.keys[big.join[i][j]] == alg.universe)
     return _law(gen())
@@ -427,7 +437,7 @@ def _coannulet_via_minimal_primes(alg):
             for m in minimal_primes(alg):
                 if not contains(m, x):
                     inter &= m
-            yield (f"coannulet of {alg.names[x]} from the points",
+            yield (lambda: f"coannulet of {alg.names[x]} from the points",
                    coannulet(alg, x) == inter)
     return _law(gen())
 
@@ -439,20 +449,20 @@ def _dense_element_characterizations(alg):
             trivial_perp = coannulet(alg, x) == singleton(alg.top)
             outside_all = all(not contains(m, x) for m in minimal_primes(alg))
             full_dbl = double_coannihilator(alg, singleton(x)) == alg.universe
-            yield (f"characterizations agree at {alg.names[x]}",
+            yield (lambda: f"characterizations agree at {alg.names[x]}",
                    trivial_perp == outside_all == full_dbl == contains(dense, x))
-        yield "dense elements form an ideal", \
+        yield lambda: "dense elements form an ideal", \
             alg.n == 1 or is_lattice_ideal(alg, dense)
     return _law(gen())
 
 
 def _proper_coannihilators_avoid_dense(alg):
     def gen():
-        yield "proper omega filters avoid dense elements", \
+        yield lambda: "proper omega filters avoid dense elements", \
             proper_omega_no_dense_check(alg)
         for u in coannihilator_family(alg):
             if u != alg.universe:
-                yield (f"proper coannihilator {alg.subset_str(u)} avoids dense",
+                yield (lambda: f"proper coannihilator {alg.subset_str(u)} avoids dense",
                        u & alg.dense_elements == 0)
     return _law(gen())
 
@@ -461,19 +471,19 @@ def _omega_filter_construction(alg):
     ideals = all_ideals(alg)
     def gen():
         for i in ideals:
-            yield (f"image of ideal {alg.subset_str(i)} is a filter",
+            yield (lambda: f"image of ideal {alg.subset_str(i)} is a filter",
                    is_filter(alg, omega_filter(alg, i)))
             for j in ideals:
                 if i & ~j == 0:
-                    yield (f"monotone at {alg.subset_str(i)} in {alg.subset_str(j)}",
+                    yield (lambda: f"monotone at {alg.subset_str(i)} in {alg.subset_str(j)}",
                            omega_filter(alg, i) & ~omega_filter(alg, j) == 0)
         for x in range(alg.n):
-            yield (f"principal ideal of {alg.names[x]} maps to its coannulet",
+            yield (lambda: f"principal ideal of {alg.names[x]} maps to its coannulet",
                    omega_filter(alg, alg.down[x]) == coannulet(alg, x))
         view = omega_filter_lattice(alg)
-        yield "omega filters form a bounded distributive lattice", \
+        yield lambda: "omega filters form a bounded distributive lattice", \
             view.keys == omega_family(alg).members
-        yield "omega filters coincide with the coannulets here", \
+        yield lambda: "omega filters coincide with the coannulets here", \
             omega_family(alg).members == coannulet_family(alg).members
     return _law(gen())
 
@@ -481,12 +491,12 @@ def _omega_filter_construction(alg):
 def _nilpotents_and_center(alg):
     nil = alg.nilpotents
     def gen():
-        yield "bottom is nilpotent", contains(nil, alg.bottom)
-        yield "nilpotents form an ideal", is_lattice_ideal(alg, nil)
-        yield "center meets nilpotents only at bottom", \
+        yield lambda: "bottom is nilpotent", contains(nil, alg.bottom)
+        yield lambda: "nilpotents form an ideal", is_lattice_ideal(alg, nil)
+        yield lambda: "center meets nilpotents only at bottom", \
             alg.boolean_center & nil == singleton(alg.bottom)
         for e in elements(alg.boolean_center):
-            yield (f"powers of central {alg.names[e]} are constant",
+            yield (lambda: f"powers of central {alg.names[e]} are constant",
                    all(alg.power(e, k) == e for k in range(1, alg.n + 2)))
     return _law(gen())
 
@@ -497,9 +507,9 @@ def _principal_filter_map(alg):
     maps = structure_maps(alg)
     m = maps["element to principal filter"]
     def gen():
-        yield "order reversing homomorphism onto the filter lattice", \
+        yield lambda: "order reversing homomorphism onto the filter lattice", \
             m.kind == "dual lattice homomorphism" and m.surjective
-        yield "kernel quotient transports", \
+        yield lambda: "kernel quotient transports", \
             kernel_transports(element_lattice(alg), [img for _, img in m.pairs],
                               filter_lattice(alg), dual=True)
     return _law(gen())
@@ -509,14 +519,14 @@ def _coannulet_map(alg):
     maps = structure_maps(alg)
     m = maps["element to coannulet"]
     def gen():
-        yield "order preserving homomorphism onto the coannulets", \
+        yield lambda: "order preserving homomorphism onto the coannulets", \
             m.kind == "lattice homomorphism" and m.surjective
-        yield "kernel quotient transports", \
+        yield lambda: "kernel quotient transports", \
             kernel_transports(element_lattice(alg), [img for _, img in m.pairs],
                               coannulet_lattice(alg), dual=False)
         for x in range(alg.n):
             f = principal_filter(alg, x)
-            yield (f"factors through the filter of {alg.names[x]}",
+            yield (lambda: f"factors through the filter of {alg.names[x]}",
                    coannulet(alg, principal_generator(alg, f)) == coannulet(alg, x))
     return _law(gen())
 
@@ -527,15 +537,15 @@ def _kernel_classes_at_bounds(alg):
     fl = filter_lattice(alg)
     def gen():
         bottom_class = set(cong.class_of(alg.bottom))
-        yield "class of 0 is the dense elements", \
+        yield lambda: "class of 0 is the dense elements", \
             bottom_class == set(elements(alg.dense_elements))
-        yield "class of 1 is alone", cong.class_of(alg.top) == (alg.top,)
+        yield lambda: "class of 1 is alone", cong.class_of(alg.top) == (alg.top,)
         trivial = fl.index(singleton(alg.top))
-        yield "class of the trivial filter is alone", \
+        yield lambda: "class of the trivial filter is alone", \
             spectral.class_of(trivial) == (trivial,)
         top_class = {fl.keys[i] for i in spectral.class_of(fl.index(alg.universe))}
         with_dense = {f for f in fl.keys if f & alg.dense_elements}
-        yield "class of the full filter holds the dense containing filters", \
+        yield lambda: "class of the full filter holds the dense containing filters", \
             top_class == with_dense
     return _law(gen())
 
@@ -544,15 +554,15 @@ def _filter_to_cohull_map(alg):
     maps = structure_maps(alg)
     m = maps["filter to cohull"]
     def gen():
-        yield "order preserving homomorphism onto the cohulls", \
+        yield lambda: "order preserving homomorphism onto the cohulls", \
             m.kind == "lattice homomorphism" and m.surjective
         for f in all_filters(alg):
             for g in all_filters(alg):
                 cf, cg = cohull(alg, f), cohull(alg, g)
-                yield (f"join goes to union at ({alg.subset_str(f)}, "
+                yield (lambda: f"join goes to union at ({alg.subset_str(f)}, "
                        f"{alg.subset_str(g)})",
                        cohull(alg, filter_join(alg, f, g)) == (cf | cg))
-                yield (f"meet goes to intersection at ({alg.subset_str(f)}, "
+                yield (lambda: f"meet goes to intersection at ({alg.subset_str(f)}, "
                        f"{alg.subset_str(g)})",
                        cohull(alg, f & g) == (cf & cg))
     return _law(gen())
@@ -564,9 +574,9 @@ def _generator_coannulet_map(alg):
     fl = filter_lattice(alg)
     images = [img for _, img in m.pairs]
     def gen():
-        yield "order reversing homomorphism onto the coannulets", \
+        yield lambda: "order reversing homomorphism onto the coannulets", \
             m.kind == "dual lattice homomorphism" and m.surjective
-        yield "kernels by cohull and by generator coannulet coincide", \
+        yield lambda: "kernels by cohull and by generator coannulet coincide", \
             kernel_partition(fl, images) == filter_kernel_spectral(alg) and \
             kernel_transports(fl, images, coannulet_lattice(alg), dual=True)
     return _law(gen())
@@ -575,11 +585,11 @@ def _generator_coannulet_map(alg):
 def _point_translations(alg):
     maps = structure_maps(alg)
     def gen():
-        yield "cohull to hull translation is a bijection", \
+        yield lambda: "cohull to hull translation is a bijection", \
             maps["cohull to hull"].bijective
-        yield "coannulet to hull translation is a bijection", \
+        yield lambda: "coannulet to hull translation is a bijection", \
             maps["coannulet to hull"].bijective
-        yield "hull lattice matches cohull lattice in size", \
+        yield lambda: "hull lattice matches cohull lattice in size", \
             hull_lattice(alg).n == cohull_lattice(alg).n
     return _law(gen())
 
@@ -625,26 +635,26 @@ def _boolean_filter_lattice_equivalence(alg):
 def _alpha_closure_laws(alg):
     fam = alpha_family(alg)
     def gen():
-        yield ("trivial filter is closed",
+        yield (lambda: "trivial filter is closed",
                alpha_closure(alg, singleton(alg.top)) == singleton(alg.top))
-        yield ("whole carrier is closed",
+        yield (lambda: "whole carrier is closed",
                alpha_closure(alg, alg.universe) == alg.universe)
         for mask in range(alg.universe + 1):
             c = alpha_closure(alg, mask)
-            yield f"extensive at {alg.subset_str(mask)}", mask & ~c == 0
-            yield f"idempotent at {alg.subset_str(mask)}", alpha_closure(alg, c) == c
-            yield (f"closure of {alg.subset_str(mask)} lands in the family",
+            yield lambda: f"extensive at {alg.subset_str(mask)}", mask & ~c == 0
+            yield lambda: f"idempotent at {alg.subset_str(mask)}", alpha_closure(alg, c) == c
+            yield (lambda: f"closure of {alg.subset_str(mask)} lands in the family",
                    c in fam.members)
             sub = mask & (mask - 1)
-            yield (f"monotone below {alg.subset_str(mask)}",
+            yield (lambda: f"monotone below {alg.subset_str(mask)}",
                    alpha_closure(alg, sub) & ~c == 0)
         for f in all_filters(alg):
             for g in all_filters(alg):
-                yield (f"meets preserved at ({alg.subset_str(f)}, {alg.subset_str(g)})",
+                yield (lambda: f"meets preserved at ({alg.subset_str(f)}, {alg.subset_str(g)})",
                        alpha_closure(alg, f & g) ==
                        alpha_closure(alg, f) & alpha_closure(alg, g))
         for u in coannihilator_family(alg):
-            yield (f"coannihilator {alg.subset_str(u)} is closed",
+            yield (lambda: f"coannihilator {alg.subset_str(u)} is closed",
                    u in fam.members)
     return _law(gen())
 
@@ -652,15 +662,15 @@ def _alpha_closure_laws(alg):
 def _alpha_frame_structure(alg):
     fam = alpha_family(alg)
     def gen():
-        yield "family is a frame", frame_check(fam.members)
-        yield "lattice of closed filters builds", alpha_lattice(alg).n == len(fam)
+        yield lambda: "family is a frame", frame_check(fam.members)
+        yield lambda: "lattice of closed filters builds", alpha_lattice(alg).n == len(fam)
         for f in fam:
             for g in fam:
-                yield (f"intersection closed at ({alg.subset_str(f)}, "
+                yield (lambda: f"intersection closed at ({alg.subset_str(f)}, "
                        f"{alg.subset_str(g)})", f & g in fam.members)
                 h = heyting_implication(alg, f, g)
                 for cand in fam:
-                    yield (f"implication adjunction at ({alg.subset_str(f)}, "
+                    yield (lambda: f"implication adjunction at ({alg.subset_str(f)}, "
                            f"{alg.subset_str(g)}, {alg.subset_str(cand)})",
                            (cand & ~h == 0) == (f & cand & ~g == 0))
     return _law(gen())
@@ -671,20 +681,20 @@ def _alpha_extension_law(alg):
         for q in alpha_family(alg):
             for a in range(alg.n):
                 ext_a = alpha_extend(alg, q, a)
-                yield (f"extension of {alg.subset_str(q)} by {alg.names[a]}",
+                yield (lambda: f"extension of {alg.subset_str(q)} by {alg.names[a]}",
                        ext_a == alpha_closure(alg, q | singleton(a)))
                 for b in range(alg.n):
                     lhs = ext_a & alpha_extend(alg, q, b)
                     rhs = alpha_extend(alg, q, alg.join[a][b])
-                    yield (f"extension meets at ({alg.subset_str(q)}, "
+                    yield (lambda: f"extension meets at ({alg.subset_str(q)}, "
                            f"{alg.names[a]}, {alg.names[b]})", lhs == rhs)
     return _law(gen())
 
 
 def _transfer_isomorphism(alg):
     def gen():
-        yield "round trips and adjunction", transfer_roundtrip_check(alg)
-        yield "families have equal size", \
+        yield lambda: "round trips and adjunction", transfer_roundtrip_check(alg)
+        yield lambda: "families have equal size", \
             len(view_filters(coannulet_lattice(alg))) == len(alpha_family(alg))
     return _law(gen())
 
@@ -697,20 +707,20 @@ def _prime_alpha_four_way(alg):
             if f == alg.universe:
                 continue
             verdict = is_prime_alpha(alg, f)
-            yield (f"four routes agree at {alg.subset_str(f)}",
+            yield (lambda: f"four routes agree at {alg.subset_str(f)}",
                    verdict == (f in primes.members))
             inter = alg.universe
             for p in primes:
                 if f & ~p == 0:
                     inter &= p
-            yield (f"{alg.subset_str(f)} is the meet of primes above it",
+            yield (lambda: f"{alg.subset_str(f)} is the meet of primes above it",
                    inter == f)
         for q in fam:
             for c in join_closed_sets(alg):
                 if q & c:
                     continue
                 p = alpha_separate(alg, q, c)
-                yield (f"separation of {alg.subset_str(q)} from "
+                yield (lambda: f"separation of {alg.subset_str(q)} from "
                        f"{alg.subset_str(c)} lands on a prime",
                        p in primes.members and p & c == 0 and q & ~p == 0)
     return _law(gen())
@@ -728,7 +738,7 @@ def _prime_alpha_are_minimal(alg):
 def _alpha_closure_via_points(alg):
     def gen():
         for f in all_filters(alg):
-            yield (f"closure of {alg.subset_str(f)} from the points",
+            yield (lambda: f"closure of {alg.subset_str(f)} from the points",
                    alpha_closure(alg, f) == kernel_filter(alg, hull(alg, f)))
     return _law(gen())
 
@@ -737,15 +747,15 @@ def _spectrum_topology(alg):
     th = hull_topology(alg)
     td = dual_hull_topology(alg)
     def gen():
-        yield "hull and dual hull topologies coincide", topologies_equal(alg)
-        yield "zero dimensional", is_zero_dimensional(th)
-        yield "totally disconnected", is_totally_disconnected(th)
-        yield "compact", is_compact(th)
-        yield "dual compact", is_compact(td)
+        yield lambda: "hull and dual hull topologies coincide", topologies_equal(alg)
+        yield lambda: "zero dimensional", is_zero_dimensional(th)
+        yield lambda: "totally disconnected", is_totally_disconnected(th)
+        yield lambda: "compact", is_compact(th)
+        yield lambda: "dual compact", is_compact(td)
         space = full_set(len(minimal_primes(alg)))
         for s in range(space + 1):
             pts = hull(alg, kernel_filter(alg, s))
-            yield (f"hull of kernel returns point set {s:b}", pts == s)
+            yield (lambda: f"hull of kernel returns point set {s:b}", pts == s)
     return _law(gen())
 
 

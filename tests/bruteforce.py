@@ -104,6 +104,12 @@ def minimal_primes_over(t, xs):
     return [p for p in ps if not any(q < p for q in ps)]
 
 
+def join_closed_sets(t):
+    """Nonempty subsets holding the join of every pair of members."""
+    return [s for s in all_subsets(t)
+            if s and all(t["join"][x][y] in s for x in s for y in s)]
+
+
 # -- coannihilators --------------------------------------------------------
 
 def perp(t, xs):

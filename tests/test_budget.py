@@ -1,5 +1,6 @@
-"""Analysis commands on 20- to 32-element carriers finish within a time
-budget and give the closed-form answers.
+"""Analysis commands on 20- to 32-element carriers, and ``verify`` on 12-
+and 16-element ones, finish within a time budget and give the
+closed-form answers.
 
 Each command runs in a fresh interpreter, so no cache carries over from
 an earlier command on the same algebra.
@@ -25,6 +26,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ALGEBRAS = {"luk20": lambda: luk(20), "luk32": lambda: luk(32),
             "boolean5": lambda: boolean(5)}
 COMMANDS = ("info", "coann", "spectrum", "filters", "classify", "alpha")
+# verify is exponential in the carrier size; these are the largest
+# carriers it is held to.
+VERIFY_ALGEBRAS = {"luk12": lambda: luk(12), "boolean4": lambda: boolean(4)}
 
 
 def expected(key):
@@ -65,27 +69,38 @@ def observed(cmd, item):
 def documents(tmp_path_factory):
     directory = tmp_path_factory.mktemp("budget")
     paths = {}
-    for key, make in ALGEBRAS.items():
+    for key, make in {**ALGEBRAS, **VERIFY_ALGEBRAS}.items():
         paths[key] = directory / f"{key}.alg"
         paths[key].write_text(render_algebra(make(), key))
     return paths
 
 
-@pytest.mark.parametrize("cmd", COMMANDS)
-@pytest.mark.parametrize("key", sorted(ALGEBRAS))
-def test_command_within_budget(key, cmd, documents):
+def run_within_budget(cmd, path):
+    """The command's JSON report on one document, run in a fresh
+    interpreter that must exit 0 within the budget."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     started = time.monotonic()
     proc = subprocess.run(
-        [sys.executable, "-m", "reslat.cli", cmd, str(documents[key]), "--format", "json"],
+        [sys.executable, "-m", "reslat.cli", cmd, str(path), "--format", "json"],
         capture_output=True, text=True, env=env, timeout=5 * BUDGET_S)
     elapsed = time.monotonic() - started
     assert proc.returncode == 0, proc.stderr
     assert elapsed < BUDGET_S
+    return json.loads(proc.stdout)["algebras"][0]
 
-    counts, verdicts = observed(cmd, json.loads(proc.stdout)["algebras"][0])
+
+@pytest.mark.parametrize("cmd", COMMANDS)
+@pytest.mark.parametrize("key", sorted(ALGEBRAS))
+def test_command_within_budget(key, cmd, documents):
+    counts, verdicts = observed(cmd, run_within_budget(cmd, documents[key]))
     want_counts, want_verdicts = expected(key)
     assert counts == {k: want_counts[k] for k in counts}
     if verdicts is not None:
         assert verdicts == want_verdicts
+
+
+@pytest.mark.parametrize("key", sorted(VERIFY_ALGEBRAS))
+def test_verify_within_budget(key, documents):
+    item = run_within_budget("verify", documents[key])
+    assert (item["passed"], item["failed"]) == (44, 0)

@@ -36,6 +36,7 @@ from reslat.coann import (
 from reslat.filters import (
     all_filters,
     extend_filter,
+    generated_filter,
     principal_filter,
     principal_generator,
 )
@@ -43,6 +44,7 @@ from reslat.spectrum import (
     cohull,
     hull,
     is_minimal_prime,
+    join_closed_sets,
     maximal_filters,
     minimal_primes,
     prime_core,
@@ -90,6 +92,7 @@ def test_landscape_matches_oracle(index):
     assert as_sets(alg, all_filters(alg)) == set(filters)
     for m in range(alg.universe + 1):
         s = set_of(alg, m)
+        assert set_of(alg, generated_filter(alg, m)) == bf.generated(t, s)
         assert set_of(alg, coannihilator(alg, m)) == bf.perp(t, s)
         assert set_of(alg, alpha_closure(alg, m)) == bf.alpha_closure(t, s)
     for f in all_filters(alg):
@@ -101,6 +104,7 @@ def test_landscape_matches_oracle(index):
     assert as_sets(alg, all_ideals(alg)) == set(bf.ideals(t))
     assert as_sets(alg, omega_family(alg)) == set(bf.omega_family(t))
 
+    assert as_sets(alg, join_closed_sets(alg)) == set(bf.join_closed_sets(t))
     oracle_minimal = bf.minimal_primes(t)
     assert as_sets(alg, prime_filters(alg)) == set(bf.primes(t))
     assert as_sets(alg, maximal_filters(alg)) == set(bf.maximal_filters(t))

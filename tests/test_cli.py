@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import pytest
 
 import tables as tb
 from conftest import build
+import reslat.cli
 from reslat.cli import main
 from reslat.io import parse_stream, render_algebra, render_stream, NamedAlgebra
 
@@ -238,6 +240,37 @@ def test_multi_document_labels(capsys, tmp_path):
     code, out = run(capsys, "validate", str(path))
     assert code == 0
     assert out == "pair#1: valid (2 elements)\npair#2: valid (3 elements)\n"
+    code, out = run(capsys, "classify", str(path), "chain2")
+    assert code == 0
+    assert [b.split(":")[0] for b in out.split("\n\n")] == ["pair#1", "pair#2", "chain2"]
+
+
+def test_each_algebra_is_freed_before_the_next_is_analysed(capsys, monkeypatch):
+    real = reslat.cli._build_classify
+    seen, alive = [], []
+
+    def build(args, rep, item, label, alg):
+        alive.append(sum(ref() is not None for ref in seen))
+        seen.append(weakref.ref(alg))
+        return real(args, rep, item, label, alg)
+
+    monkeypatch.setattr(reslat.cli, "_build_classify", build)
+    code, _ = run(capsys, "classify", "a7", "chain2", "chain3", "bool4")
+    assert code == 0
+    assert alive == [0, 0, 0, 0]
+
+
+def test_unreadable_document_outranks_an_analysis_error(capsys, tmp_path):
+    # Documents are parsed as they are reached, yet an invalid later
+    # document is still reported (exit 1) ahead of an unknown statement
+    # id that the first document's analysis meets (exit 64).
+    text = render_algebra(build(tb.A7))
+    path = tmp_path / "bad.alg"
+    path.write_text(text.replace("prod:\n0 0", "prod:\n0 a", 1))
+    assert main(["verify", "chain2", str(path), "--only", "bogus"]) == 1
+    assert "bad.alg: not a residuated lattice" in capsys.readouterr().err
+    assert main(["verify", "chain2", "a7", "--only", "bogus"]) == 64
+    assert "unknown statement ids: bogus" in capsys.readouterr().err
 
 
 def test_reports_are_byte_stable(capsys):

@@ -12,6 +12,7 @@ from reslat import PreconditionError
 from reslat.algebra import check_tables, validate
 from reslat.classify import classification, is_weakly_disjunctive
 from reslat.search import (
+    MAX_CARRIER,
     LatticeSkeleton,
     _Fill,
     _interval,
@@ -169,6 +170,15 @@ def test_names_for():
     assert names_for(7) == ("0", "a", "b", "c", "d", "e", "1")
     with pytest.raises(PreconditionError):
         names_for(8)
+
+
+def test_names_for_every_carrier_size():
+    # Raising MAX_CARRIER without more middle names must fail here.
+    for n in range(1, MAX_CARRIER + 1):
+        names = names_for(n)
+        assert len(names) == len(set(names)) == n
+    with pytest.raises(PreconditionError):
+        names_for(MAX_CARRIER + 1)
 
 
 def test_search_parameter_validation():

@@ -3,8 +3,9 @@ from __future__ import annotations
 import pytest
 
 import tables as tb
-from conftest import build
-from reslat import PreconditionError
+from conftest import build, mask_of
+from reslat import PreconditionError, suite
+from reslat.subsets import singleton
 from reslat.suite import registry_groups, registry_idents, verify_suite
 
 
@@ -84,3 +85,30 @@ def test_selection_by_group(a7):
 
 def test_reports_deterministic(a7):
     assert verify_suite(a7) == verify_suite(a7)
+
+
+
+@pytest.mark.parametrize("ident, name, at, spoil, witness", [
+    ("filters-closure-system", "generated_filter",
+     lambda a: (mask_of(a, "b", "c"),), lambda a, f: f & ~singleton(a.top),
+     "fails at generated filter of {b, c} is a filter"),
+    ("filter-extension-law", "extend_filter",
+     lambda a: (mask_of(a, "e", "1"), a.names.index("d")),
+     lambda a, f: f ^ singleton(a.bottom),
+     "fails at extension antitone at a <= d"),
+])
+def test_failing_law_describes_the_failing_instance(a7, monkeypatch, ident, name,
+                                                     at, spoil, witness):
+    """A law that fails reports the instance it failed at, named by that
+    instance's loop values, in the text a passing instance would have
+    had: the suite calls ``name`` with a result spoilt at one input."""
+    real, bad = getattr(suite, name), at(a7)
+
+    def broken(alg, *args):
+        out = real(alg, *args)
+        return spoil(alg, out) if args == bad else out
+
+    monkeypatch.setattr(suite, name, broken)
+    (report,) = verify_suite(a7, (ident,))
+    assert (report.passed, report.sides) == (False, (("holds", False),))
+    assert report.witness == witness
