@@ -91,7 +91,6 @@ def _read_source(token: str) -> tuple[str, str]:
 def _label_docs(stem, docs):
     """(label, algebra) per document: its own label, else the source's
     stem, numbered when the source holds more than one document."""
-    docs = iter(docs)
     ahead = next(docs, None)
     i = 0
     while ahead is not None:

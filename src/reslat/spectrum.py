@@ -86,12 +86,12 @@ def _check_join_closed(alg: ResiduatedLattice, c_mask: int) -> None:
     if c_mask == 0:
         raise PreconditionError("the avoided set must be nonempty")
     for x in elements(c_mask):
-        row = alg.join[x]
         for y in elements(c_mask >> x << x):
-            if not contains(c_mask, row[y]):
+            j = alg.join[x][y]
+            if not contains(c_mask, j):
                 raise PreconditionError(
-                    f"avoided set not closed under join: {alg.names[x]} v "
-                    f"{alg.names[y]} = {alg.names[row[y]]} escapes it")
+                    f"avoided set not closed under join: {alg.names[x]} v {alg.names[y]} "
+                    f"= {alg.names[j]} escapes it")
 
 
 def separate(alg: ResiduatedLattice, f_mask: int, c_mask: int) -> int:

@@ -143,15 +143,17 @@ def _residuation_basics(alg):
             for y in rng:
                 yield (lambda: f"{alg.names[x]} * ({alg.names[x]} -> {alg.names[y]})",
                        alg.leq(alg.prod[x][alg.impl[x][y]], y))
-                yield (lambda: f"order vs implication at ({alg.names[x]}, {alg.names[y]})",
+                yield (lambda: f"order vs implication at ({alg.names[x]}, "
+                               f"{alg.names[y]})",
                        alg.leq(x, y) == (alg.impl[x][y] == alg.top))
                 yield (lambda: f"{alg.names[y]} below {alg.names[x]} -> {alg.names[y]}",
                        alg.leq(y, alg.impl[x][y]))
                 for z in rng:
-                    yield (lambda: f"currying at ({alg.names[x]}, {alg.names[y]}, {alg.names[z]})",
+                    yield (lambda: f"currying at ({alg.names[x]}, {alg.names[y]}, "
+                                   f"{alg.names[z]})",
                            alg.impl[x][alg.impl[y][z]] == alg.impl[alg.prod[x][y]][z])
-                    yield (lambda: f"implication chain at ({alg.names[x]}, {alg.names[y]}, "
-                           f"{alg.names[z]})",
+                    yield (lambda: f"implication chain at ({alg.names[x]}, "
+                                   f"{alg.names[y]}, {alg.names[z]})",
                            alg.leq(alg.prod[alg.impl[x][y]][alg.impl[y][z]],
                                    alg.impl[x][z]))
     return _law(gen())
@@ -164,7 +166,8 @@ def _product_join_distributivity(alg):
                 for z in range(alg.n):
                     lhs = alg.prod[x][alg.join[y][z]]
                     rhs = alg.join[alg.prod[x][y]][alg.prod[x][z]]
-                    yield (lambda: f"{alg.names[x]} * ({alg.names[y]} v {alg.names[z]})",
+                    yield (lambda: f"{alg.names[x]} * ({alg.names[y]} v "
+                                   f"{alg.names[z]})",
                            lhs == rhs)
     return _law(gen())
 
@@ -198,7 +201,8 @@ def _negation_basics(alg):
                    alg.neg(alg.neg(alg.neg(x))) == alg.neg(x))
             for y in range(alg.n):
                 if alg.leq(x, y):
-                    yield (lambda: f"negation reverses {alg.names[x]} <= {alg.names[y]}",
+                    yield (lambda: f"negation reverses {alg.names[x]} <= "
+                                   f"{alg.names[y]}",
                            alg.leq(alg.neg(y), alg.neg(x)))
     return _law(gen())
 
@@ -218,9 +222,11 @@ def _center_structure(alg):
                 yield (lambda: f"{alg.names[e]} meet vs product at {alg.names[x]}",
                        alg.meet[e][x] == alg.prod[e][x])
             for f in elements(center):
-                yield (lambda: f"center closed under join at ({alg.names[e]}, {alg.names[f]})",
+                yield (lambda: f"center closed under join at ({alg.names[e]}, "
+                               f"{alg.names[f]})",
                        contains(center, alg.join[e][f]))
-                yield (lambda: f"center closed under meet at ({alg.names[e]}, {alg.names[f]})",
+                yield (lambda: f"center closed under meet at ({alg.names[e]}, "
+                               f"{alg.names[f]})",
                        contains(center, alg.meet[e][f]))
     return _law(gen())
 
@@ -232,7 +238,8 @@ def _filters_closure_system(alg):
     def gen():
         for f in fam:
             for g in fam:
-                yield (lambda: f"intersection of {alg.subset_str(f)} and {alg.subset_str(g)}",
+                yield (lambda: f"intersection of {alg.subset_str(f)} and "
+                               f"{alg.subset_str(g)}",
                        f & g in fam)
         for mask in range(alg.universe + 1):
             gen_f = generated_filter(alg, mask)
@@ -250,7 +257,8 @@ def _filter_lattice_frame(alg):
     def gen():
         yield lambda: "bottom is the top singleton", members[0] == singleton(alg.top)
         yield lambda: "top is the whole carrier", members[-1] == alg.universe
-        yield lambda: "meets distribute over every join of subfamilies", frame_check(members)
+        yield (lambda: "meets distribute over every join of subfamilies",
+               frame_check(members))
     return _law(gen())
 
 
@@ -267,7 +275,8 @@ def _finite_principality(alg):
         for mask in range(alg.universe + 1):
             if mask:
                 low = mask & -mask
-                grown.append(extend_filter(alg, grown[mask ^ low], low.bit_length() - 1))
+                grown.append(extend_filter(alg, grown[mask ^ low],
+                                           low.bit_length() - 1))
             yield (lambda: f"filter of {alg.subset_str(mask)} vs its product",
                    grown[mask] == principal_filter(alg, alg.product_of(mask)))
     return _law(gen())
@@ -282,7 +291,8 @@ def _filter_extension_law(alg):
                        ext == generated_filter(alg, f | singleton(x)))
                 for y in range(alg.n):
                     if alg.leq(x, y):
-                        yield (lambda: f"extension antitone at {alg.names[x]} <= {alg.names[y]}",
+                        yield (lambda: f"extension antitone at {alg.names[x]} <= "
+                                       f"{alg.names[y]}",
                                extend_filter(alg, f, y) & ~ext == 0)
     return _law(gen())
 
@@ -296,7 +306,8 @@ def _prime_pair_laws(alg):
                               if contains(p, alg.join[x][y]))
             filterwise = all(f & ~p == 0 or g & ~p == 0
                              for f in fam for g in fam if f & g & ~p == 0)
-            yield (lambda: f"pair laws at {alg.subset_str(p)}", elementwise == filterwise)
+            yield (lambda: f"pair laws at {alg.subset_str(p)}",
+                   elementwise == filterwise)
             yield (lambda: f"declared verdict at {alg.subset_str(p)}",
                    elementwise == bool(is_prime(alg, p)))
     return _law(gen())
@@ -318,7 +329,8 @@ def _prime_separation(alg):
                 if f & c:
                     continue
                 p = separate(alg, f, c)
-                yield (lambda: f"separating {alg.subset_str(f)} from {alg.subset_str(c)}",
+                yield (lambda: f"separating {alg.subset_str(f)} from "
+                               f"{alg.subset_str(c)}",
                        bool(is_prime(alg, p)) and f & ~p == 0 and p & c == 0)
     return _law(gen())
 
@@ -332,7 +344,8 @@ def _primes_reach_bottom(alg):
         inter = alg.universe
         for m in mins:
             inter &= m
-        yield lambda: "intersection of minimal primes is trivial", inter == singleton(alg.top)
+        yield (lambda: "intersection of minimal primes is trivial",
+               inter == singleton(alg.top))
     return _law(gen())
 
 
@@ -343,7 +356,8 @@ def _minimal_prime_complement_law(alg):
             route = is_minimal_prime(alg, p)
             perp_route = all(coannulet(alg, x) & ~p for x in elements(p))
             yield (lambda: f"complement route at {alg.subset_str(p)}", route == listed)
-            yield (lambda: f"coannulet route at {alg.subset_str(p)}", perp_route == listed)
+            yield (lambda: f"coannulet route at {alg.subset_str(p)}",
+                   perp_route == listed)
     return _law(gen())
 
 
@@ -360,7 +374,8 @@ def _prime_core_properties(alg):
             for m in minimal_primes(alg):
                 if m & ~p == 0:
                     inter &= m
-            yield (lambda: f"core of {alg.subset_str(p)} via minimal primes", core == inter)
+            yield (lambda: f"core of {alg.subset_str(p)} via minimal primes",
+                   core == inter)
             yield lambda: f"core sits inside {alg.subset_str(p)}", core & ~p == 0
     return _law(gen())
 
@@ -371,7 +386,8 @@ def _coannihilator_galois(alg):
     def gen():
         for x_mask in range(alg.universe + 1):
             perp = coannihilator(alg, x_mask)
-            yield lambda: f"{alg.subset_str(x_mask)} perp is a filter", is_filter(alg, perp)
+            yield (lambda: f"{alg.subset_str(x_mask)} perp is a filter",
+                   is_filter(alg, perp))
             yield (lambda: f"{alg.subset_str(x_mask)} inside its double perp",
                    x_mask & ~double_coannihilator(alg, x_mask) == 0)
             yield (lambda: f"triple perp collapses at {alg.subset_str(x_mask)}",
@@ -391,13 +407,15 @@ def _coannulet_arithmetic(alg):
     def gen():
         yield lambda: "bottom coannulet is trivial", \
             coannulet(alg, alg.bottom) == singleton(alg.top)
-        yield lambda: "top coannulet is everything", coannulet(alg, alg.top) == alg.universe
+        yield (lambda: "top coannulet is everything",
+               coannulet(alg, alg.top) == alg.universe)
         for x in range(alg.n):
             for y in range(alg.n):
                 jx, jy = view.index(coannulet(alg, x)), view.index(coannulet(alg, y))
                 yield (lambda: f"join transfers at ({alg.names[x]}, {alg.names[y]})",
                        view.keys[view.join[jx][jy]] == coannulet(alg, alg.join[x][y]))
-                yield (lambda: f"product and meet agree at ({alg.names[x]}, {alg.names[y]})",
+                yield (lambda: f"product and meet agree at ({alg.names[x]}, "
+                               f"{alg.names[y]})",
                        coannulet(alg, alg.prod[x][y]) ==
                        coannulet(alg, alg.meet[x][y]) ==
                        coannulet(alg, x) & coannulet(alg, y))
@@ -475,7 +493,8 @@ def _omega_filter_construction(alg):
                    is_filter(alg, omega_filter(alg, i)))
             for j in ideals:
                 if i & ~j == 0:
-                    yield (lambda: f"monotone at {alg.subset_str(i)} in {alg.subset_str(j)}",
+                    yield (lambda: f"monotone at {alg.subset_str(i)} in "
+                                   f"{alg.subset_str(j)}",
                            omega_filter(alg, i) & ~omega_filter(alg, j) == 0)
         for x in range(alg.n):
             yield (lambda: f"principal ideal of {alg.names[x]} maps to its coannulet",
@@ -642,7 +661,8 @@ def _alpha_closure_laws(alg):
         for mask in range(alg.universe + 1):
             c = alpha_closure(alg, mask)
             yield lambda: f"extensive at {alg.subset_str(mask)}", mask & ~c == 0
-            yield lambda: f"idempotent at {alg.subset_str(mask)}", alpha_closure(alg, c) == c
+            yield (lambda: f"idempotent at {alg.subset_str(mask)}",
+                   alpha_closure(alg, c) == c)
             yield (lambda: f"closure of {alg.subset_str(mask)} lands in the family",
                    c in fam.members)
             sub = mask & (mask - 1)
@@ -650,7 +670,8 @@ def _alpha_closure_laws(alg):
                    alpha_closure(alg, sub) & ~c == 0)
         for f in all_filters(alg):
             for g in all_filters(alg):
-                yield (lambda: f"meets preserved at ({alg.subset_str(f)}, {alg.subset_str(g)})",
+                yield (lambda: f"meets preserved at ({alg.subset_str(f)}, "
+                               f"{alg.subset_str(g)})",
                        alpha_closure(alg, f & g) ==
                        alpha_closure(alg, f) & alpha_closure(alg, g))
         for u in coannihilator_family(alg):
@@ -663,7 +684,8 @@ def _alpha_frame_structure(alg):
     fam = alpha_family(alg)
     def gen():
         yield lambda: "family is a frame", frame_check(fam.members)
-        yield lambda: "lattice of closed filters builds", alpha_lattice(alg).n == len(fam)
+        yield (lambda: "lattice of closed filters builds",
+               alpha_lattice(alg).n == len(fam))
         for f in fam:
             for g in fam:
                 yield (lambda: f"intersection closed at ({alg.subset_str(f)}, "
