@@ -98,9 +98,10 @@ def separate(alg: ResiduatedLattice, f_mask: int, c_mask: int) -> int:
     """A prime filter containing F, disjoint from a join-closed C, and
     maximal with that property.
 
-    Greedy: repeatedly absorb the first element, in carrier order, whose
-    generated extension still avoids C.  The loop order makes the choice
-    among maximal solutions deterministic.
+    Greedy: absorb each element in carrier order whose extension still
+    avoids C.  One pass suffices: extensions only grow with the filter,
+    so an element once refused stays refused.  The loop order makes the
+    choice among maximal solutions deterministic.
     """
     if not is_filter(alg, f_mask):
         raise PreconditionError(f"not a filter: {alg.subset_str(f_mask)}")
@@ -110,17 +111,11 @@ def separate(alg: ResiduatedLattice, f_mask: int, c_mask: int) -> int:
         raise PreconditionError(f"filter meets the avoided set at {alg.names[x]}")
 
     cur = f_mask
-    changed = True
-    while changed:
-        changed = False
-        for x in range(alg.n):
-            if contains(cur, x):
-                continue
+    for x in range(alg.n):
+        if not contains(cur, x):
             ext = extend_filter(alg, cur, x)
             if ext & c_mask == 0:
                 cur = ext
-                changed = True
-                break
     return cur
 
 

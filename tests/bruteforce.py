@@ -110,6 +110,31 @@ def join_closed_sets(t):
             if s and all(t["join"][x][y] in s for x in s for y in s)]
 
 
+def separate(t, f, c):
+    """Grow the filter f away from c: absorb the first element, in
+    carrier order, whose generated filter still avoids c, and start
+    again from the first element, until none can be absorbed."""
+    fs = filters(t)
+
+    def generated_by(xs):
+        acc = frozenset(range(t["n"]))
+        for g in fs:
+            if xs <= g:
+                acc &= g
+        return acc
+
+    cur = frozenset(f)
+    while True:
+        for x in range(t["n"]):
+            if x not in cur:
+                ext = generated_by(cur | {x})
+                if not ext & c:
+                    cur = ext
+                    break
+        else:
+            return cur
+
+
 # -- coannihilators --------------------------------------------------------
 
 def perp(t, xs):

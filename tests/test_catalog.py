@@ -49,6 +49,7 @@ from reslat.spectrum import (
     minimal_primes,
     prime_core,
     prime_filters,
+    separate,
 )
 from reslat.subsets import full_set, singleton
 from reslat.views import quotient_view, view_filters
@@ -105,6 +106,11 @@ def test_landscape_matches_oracle(index):
     assert as_sets(alg, omega_family(alg)) == set(bf.omega_family(t))
 
     assert as_sets(alg, join_closed_sets(alg)) == set(bf.join_closed_sets(t))
+    for f in all_filters(alg):
+        for c in join_closed_sets(alg):
+            if f & c == 0:
+                assert set_of(alg, separate(alg, f, c)) == \
+                    bf.separate(t, set_of(alg, f), set_of(alg, c))
     oracle_minimal = bf.minimal_primes(t)
     assert as_sets(alg, prime_filters(alg)) == set(bf.primes(t))
     assert as_sets(alg, maximal_filters(alg)) == set(bf.maximal_filters(t))

@@ -87,7 +87,6 @@ def test_reports_deterministic(a7):
     assert verify_suite(a7) == verify_suite(a7)
 
 
-
 @pytest.mark.parametrize("ident, name, at, spoil, witness", [
     ("filters-closure-system", "generated_filter",
      lambda a: (mask_of(a, "b", "c"),), lambda a, f: f & ~singleton(a.top),
