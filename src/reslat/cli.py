@@ -437,14 +437,16 @@ def _build_verify(args, rep, item, label, alg):
             failed += 1
             line += f" ({r.witness})"
         rep.line(line)
-        rows.append({
-            "ident": r.ident,
-            "group": group_of[r.ident],
-            "statement": r.statement,
-            "passed": r.passed,
-            "witness": r.witness,
-            "sides": [[desc, ok] for desc, ok in r.sides],
-        })
+        # Only the JSON rendering reads the rows; text skips building them.
+        if args.format == "json":
+            rows.append({
+                "ident": r.ident,
+                "group": group_of[r.ident],
+                "statement": r.statement,
+                "passed": r.passed,
+                "witness": r.witness,
+                "sides": [[desc, ok] for desc, ok in r.sides],
+            })
     rep.line(f"{label}: {len(reports) - failed} passed, {failed} failed")
     item.update({"results": rows,
                  "passed": len(reports) - failed,

@@ -15,9 +15,12 @@ arguments.  Monotonicity is checked by interval pruning: the cells
 filled earlier that lie below the current cell in the product order
 bound its value from below by the join of their values, those above it
 bound it from above by the meet, and a candidate survives exactly when
-it lies in that interval.  The stats record how much work the walk
-spent.  A predicate language over the classification verdicts turns the
-walk into a counterexample miner.
+it lies in that interval.  Cells are filled row by row, and as each row
+completes the walk checks that the row has a residual and that
+associativity holds on every triple whose largest member is that row,
+so every table it completes is valid.  The stats record how much work
+the walk spent.  A predicate language over the classification verdicts
+turns the walk into a counterexample miner.
 """
 
 from __future__ import annotations
@@ -31,9 +34,9 @@ from .algebra import ResiduatedLattice
 from .classify import classification
 from .errors import PreconditionError
 
-MAX_CARRIER = 7
+MAX_CARRIER = 8
 
-_MIDDLE_NAMES = "abcde"
+_MIDDLE_NAMES = "abcdefg"
 
 
 @dataclass(frozen=True)
@@ -52,9 +55,11 @@ class LatticeSkeleton:
 class SearchStats:
     """Work counters for one enumeration run.
 
-    examined counts complete tables handed to the validity check, pruned
-    counts candidate values rejected mid-fill, found counts valid tables
-    before the isomorphism pass, and found == emitted + iso_rejected.
+    examined counts complete tables reached, which the row checks make
+    equal to found; pruned counts candidate values rejected mid-fill,
+    by the monotonicity interval or at a row check; found counts valid
+    tables before the isomorphism pass, and found == emitted +
+    iso_rejected.
     """
 
     examined: int
@@ -240,6 +245,18 @@ class _Fill:
                         for hi in range(n))
                   for lo in range(n))
             for cand in self.cand)
+        # closes[i]: at the last cell of row r, the triples (x, y, z) of
+        # middle elements whose largest member is r.  Natural labelling
+        # puts x*y at an index at most min(x, y), so once rows 0..r are
+        # complete these products can be read.  Triples through the
+        # bottom (absorbing, as candidates lie below the meet) or the
+        # unit hold, and commutativity makes (z, y, x) and (x, y, z) one
+        # equation and (x, y, x) an identity, so x < z.  None elsewhere.
+        mids = range(1, n - 1)
+        self.closes = tuple(
+            tuple((x, y, z) for x in mids for y in mids for z in mids
+                  if x < z and max(y, z) == r) if last == n - 2 else None
+            for r, last in cells)
         self.residuals: dict = {}
 
 
@@ -282,34 +299,24 @@ def _row_residual(fill: _Fill, row):
     return fill.residuals[key]
 
 
-def _table_ok(fill: _Fill, prod_t) -> bool:
-    """Is the filled commutative table with the top as unit residuated
-    and associative?  Decides both in full.  Row top is the identity,
-    which always has a residual.  A residuated product has the bottom
-    absorbing (x*0 <= z for every z), so associativity holds on every
-    triple through the bottom or the unit.  Under commutativity the
-    triples (x, y, z) and (z, y, x) give one equation, so z starts at x."""
-    n = fill.skel.n
-    for y in range(n - 1):
-        if _row_residual(fill, prod_t[y]) is None:
+def _row_ok(fill: _Fill, prod_t, r: int, triples) -> bool:
+    """Once rows 0..r are complete: does row r have a residual, and does
+    associativity hold on triples, the ones closes gives for row r?"""
+    if _row_residual(fill, prod_t[r]) is None:
+        return False
+    for x, y, z in triples:
+        if prod_t[prod_t[x][y]][z] != prod_t[x][prod_t[y][z]]:
             return False
-    mids = range(1, n - 1)
-    for x in mids:
-        px = prod_t[x]
-        for y in mids:
-            pxy = prod_t[px[y]]
-            py = prod_t[y]
-            for z in range(x, n - 1):
-                if pxy[z] != px[py[z]]:
-                    return False
     return True
 
 
 def _walk(fill: _Fill, out_tables):
-    """Depth-first fill of every cell; each full table that passes
-    _table_ok is recorded.  Returns (examined, pruned)."""
+    """Depth-first fill of every cell, row by row.  Setting the last cell
+    of a row completes it, and a value that fails _row_ok is pruned, so
+    every full table reached is residuated and associative and is
+    recorded.  Returns (examined, pruned)."""
     n = fill.skel.n
-    cells, cand, fits = fill.cells, fill.cand, fill.fits
+    cells, cand, fits, closes = fill.cells, fill.cand, fill.fits, fill.closes
     top = n - 1
     # One product table per walk: each cell is written when assigned,
     # so at a leaf the table holds exactly the current assignment.
@@ -325,16 +332,19 @@ def _walk(fill: _Fill, out_tables):
         nonlocal examined, pruned
         if i == len(cells):
             examined += 1
-            if _table_ok(fill, prod_t):
-                out_tables.append(tuple(map(tuple, prod_t)))
+            out_tables.append(tuple(map(tuple, prod_t)))
             return
         lo, hi = _interval(fill, i, vals)
         values = fits[i][lo][hi]
         pruned += len(cand[i]) - len(values)
         x, y = cells[i]
         row_x, row_y = prod_t[x], prod_t[y]
+        triples = closes[i]
         for v in values:
             row_x[y] = row_y[x] = vals[i] = v
+            if triples is not None and not _row_ok(fill, prod_t, x, triples):
+                pruned += 1
+                continue
             rec(i + 1)
 
     rec(0)
@@ -349,8 +359,9 @@ def _canonical_product(skel: LatticeSkeleton, prod_t):
 def _build_algebra(fill: _Fill, prod_t) -> ResiduatedLattice:
     """The algebra of an accepted table, built without validation: the
     skeleton is a bounded lattice, the walk fills commutative tables
-    with the top as unit, and _table_ok found this one residuated and
-    associative.  The implication is read off the residual rows."""
+    with the top as unit, and the walk's row checks found this one
+    residuated and associative.  The implication is read off the
+    residual rows."""
     skel = fill.skel
     impl_t = tuple(_row_residual(fill, row) for row in prod_t)
     return ResiduatedLattice(names_for(skel.n), skel.join, skel.meet, prod_t,
@@ -494,25 +505,3 @@ def mine(predicate: str, n_max: int, n_min: int = 1) -> MineResult:
                     matches.append(alg)
     return MineResult(tuple(matches), lattices, total)
 
-
-# -- presentation-independent identity -------------------------------------
-
-def canonical_form(alg: ResiduatedLattice) -> tuple:
-    """A label-free fingerprint: two algebras get the same form exactly
-    when some relabeling carries one onto the other."""
-    n = alg.n
-    best = None
-    for p in permutations(range(n)):
-        leq_bits = []
-        prod_flat = []
-        inv = [0] * n
-        for i, v in enumerate(p):
-            inv[v] = i
-        for x in range(n):
-            for y in range(n):
-                leq_bits.append(1 if alg.leq(inv[x], inv[y]) else 0)
-                prod_flat.append(p[alg.prod[inv[x]][inv[y]]])
-        enc = (n, tuple(leq_bits), tuple(prod_flat))
-        if best is None or enc < best:
-            best = enc
-    return best

@@ -502,3 +502,25 @@ def count_up_to_iso(join, meet, prods, n):
     for prod in prods:
         seen.add(min(relabel_table(prod, p, n) for p in auts))
     return len(seen)
+
+
+def canonical_form(alg) -> tuple:
+    """A label-free fingerprint of a ResiduatedLattice: two algebras get
+    the same form exactly when some relabeling carries one onto the
+    other."""
+    n = alg.n
+    best = None
+    for p in permutations(range(n)):
+        leq_bits = []
+        prod_flat = []
+        inv = [0] * n
+        for i, v in enumerate(p):
+            inv[v] = i
+        for x in range(n):
+            for y in range(n):
+                leq_bits.append(1 if alg.leq(inv[x], inv[y]) else 0)
+                prod_flat.append(p[alg.prod[inv[x]][inv[y]]])
+        enc = (n, tuple(leq_bits), tuple(prod_flat))
+        if best is None or enc < best:
+            best = enc
+    return best

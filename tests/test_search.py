@@ -16,7 +16,7 @@ from reslat.search import (
     LatticeSkeleton,
     _Fill,
     _interval,
-    canonical_form,
+    _walk,
     enumerate_lattices,
     enumerate_residuated,
     mine,
@@ -35,6 +35,11 @@ def test_seven_element_lattice_count():
     assert len(enumerate_lattices(7)) == 53
 
 
+def test_eight_element_lattice_count():
+    # OEIS A006966: bounded lattices on eight elements
+    assert len(enumerate_lattices(8)) == 222
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_natural_labelling_matches_three_way_orders(n):
     ours = [(sk.join, sk.meet) for sk in enumerate_lattices(n)]
@@ -45,7 +50,7 @@ def test_carrier_bounds():
     with pytest.raises(PreconditionError):
         enumerate_lattices(0)
     with pytest.raises(PreconditionError):
-        enumerate_lattices(8)
+        enumerate_lattices(9)
 
 
 @pytest.mark.parametrize("n,expected_total,expected_multiset", [
@@ -69,10 +74,10 @@ def test_residuated_counts_frozen(n, expected_total, expected_multiset):
     (1, 1, (1, 0, 1, 1, 0)),
     (2, 1, (1, 0, 1, 1, 0)),
     (3, 1, (2, 0, 2, 2, 0)),
-    (4, 2, (11, 4, 7, 7, 0)),
-    (5, 5, (118, 114, 27, 26, 1)),
-    (6, 15, (2589, 3843, 142, 129, 13)),
-    (7, 53, (122686, 218799, 839, 723, 116)),
+    (4, 2, (7, 7, 7, 7, 0)),
+    (5, 5, (27, 127, 27, 26, 1)),
+    (6, 15, (142, 1854, 142, 129, 13)),
+    (7, 53, (839, 29748, 839, 723, 116)),
 ])
 def test_walk_counters_frozen(n, lattices, counts):
     res = mine("true", n, n_min=n)
@@ -132,6 +137,17 @@ def test_counts_match_oracle(n):
     assert Counter(oracle_counts) == Counter(ours)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_walk_tables_match_oracle(n):
+    # The walk's row checks must accept exactly the residuated,
+    # associative tables, before the isomorphism pass.
+    for sk in enumerate_lattices(n):
+        tables = []
+        _walk(_Fill(sk), tables)
+        assert sorted(tables) == sorted(
+            bf.residuated_products(sk.join, sk.meet, n))
+
+
 def test_two_element_count_is_one():
     skels = enumerate_lattices(2)
     assert len(skels) == 1
@@ -151,7 +167,7 @@ def test_emitted_algebras_are_canonical_and_distinct():
     seen = set()
     for sk in enumerate_lattices(5):
         for alg in enumerate_residuated(sk)[0]:
-            form = canonical_form(alg)
+            form = bf.canonical_form(alg)
             assert form not in seen
             seen.add(form)
     assert len(seen) == 26
@@ -169,7 +185,7 @@ def test_names_for():
     assert names_for(2) == ("0", "1")
     assert names_for(7) == ("0", "a", "b", "c", "d", "e", "1")
     with pytest.raises(PreconditionError):
-        names_for(8)
+        names_for(9)
 
 
 def test_names_for_every_carrier_size():
@@ -181,7 +197,7 @@ def test_names_for_every_carrier_size():
 
 def test_search_parameter_validation():
     with pytest.raises(PreconditionError):
-        mine("true", 8)
+        mine("true", 9)
     with pytest.raises(PreconditionError):
         mine("true", 3, n_min=4)
     with pytest.raises(PreconditionError):
@@ -196,11 +212,11 @@ def test_canonical_form_ignores_labeling(a7):
     other = build((shuffled, remap(join), remap(meet), remap(prod), remap(impl),
                    "0", "1"))
     assert other.names != a7.names
-    assert canonical_form(other) == canonical_form(a7)
+    assert bf.canonical_form(other) == bf.canonical_form(a7)
 
 
 def test_canonical_form_separates_structures(chain3, chain3n):
-    assert canonical_form(chain3) != canonical_form(chain3n)
+    assert bf.canonical_form(chain3) != bf.canonical_form(chain3n)
 
 
 def test_predicate_parser_semantics(a7, bool4):
@@ -231,7 +247,7 @@ def test_mine_finds_the_godel_chain():
     alg = res.matches[0]
     assert not is_weakly_disjunctive(alg)
     godel = build(tb.CHAIN3)
-    assert canonical_form(alg) == canonical_form(godel)
+    assert bf.canonical_form(alg) == bf.canonical_form(godel)
 
 
 def test_mine_boolean_lattices():
