@@ -31,6 +31,74 @@ def leq(t, x, y):
     return t["meet"][x][y] == x
 
 
+def table_violations(n, join, meet, prod, impl, bottom, top):
+    """Every law that index tables on 0..n-1 break, as {law: (first
+    witness, number of failing instances)}.
+
+    Each law is checked on its own, over all its instances: the
+    elements, the pairs or the triples in lexicographic order.  Where
+    one law has two forms (a unit on either side, the two absorption
+    laws) both are instances, the left form first.
+    """
+    E = range(n)
+    pairs = list(product(E, repeat=2))
+    triples = list(product(E, repeat=3))
+
+    def le(a, b):
+        return meet[a][b] == a
+
+    def unary(*forms):
+        return [((x,) if w is None else w(x), ok(x))
+                for x in E for w, ok in forms]
+
+    def binary(*forms):
+        return [((x, y), ok(x, y)) for x, y in pairs for ok in forms]
+
+    def ternary(ok, among=triples):
+        return [((x, y, z), ok(x, y, z)) for x, y, z in among]
+
+    laws = {
+        "join-idempotent": unary((None, lambda x: join[x][x] == x)),
+        "meet-idempotent": unary((None, lambda x: meet[x][x] == x)),
+        "prod-identity": unary((lambda x: (x, top), lambda x: prod[x][top] == x),
+                               (lambda x: (top, x), lambda x: prod[top][x] == x)),
+        "bottom-least": unary((lambda x: (bottom, x), lambda x: le(bottom, x))),
+        "top-greatest": unary((lambda x: (x, top), lambda x: le(x, top))),
+        "join-commutative": binary(lambda x, y: join[x][y] == join[y][x]),
+        "meet-commutative": binary(lambda x, y: meet[x][y] == meet[y][x]),
+        "prod-commutative": binary(lambda x, y: prod[x][y] == prod[y][x]),
+        "absorption": binary(lambda x, y: join[x][meet[x][y]] == x,
+                             lambda x, y: meet[x][join[x][y]] == x),
+        "order-consistency": binary(lambda x, y: le(x, y) == (join[x][y] == y)),
+        "prod-below-meet": binary(lambda x, y: le(prod[x][y], meet[x][y])),
+        "join-associative": ternary(
+            lambda x, y, z: join[join[x][y]][z] == join[x][join[y][z]]),
+        "meet-associative": ternary(
+            lambda x, y, z: meet[meet[x][y]][z] == meet[x][meet[y][z]]),
+        "prod-associative": ternary(
+            lambda x, y, z: prod[prod[x][y]][z] == prod[x][prod[y][z]]),
+        # x*y <= z iff x <= y->z, and iff y <= x->z
+        "adjointness": ternary(
+            lambda x, y, z: le(prod[x][y], z) == le(x, impl[y][z])),
+        "adjointness-commuted": ternary(
+            lambda x, y, z: le(prod[x][y], z) == le(y, impl[x][z])),
+        "prod-join-distributive": ternary(
+            lambda x, y, z: prod[x][join[y][z]] == join[prod[x][y]][prod[x][z]]),
+        "join-prod-superdistributive": ternary(
+            lambda x, y, z: le(prod[join[x][y]][join[x][z]], join[x][prod[y][z]])),
+        # quantified over x <= y only
+        "prod-monotone": ternary(
+            lambda x, y, z: le(prod[x][z], prod[y][z]),
+            [(x, y, z) for x, y, z in triples if le(x, y)]),
+    }
+    out = {}
+    for law, instances in laws.items():
+        failing = [w for w, ok in instances if not ok]
+        if failing:
+            out[law] = (failing[0], len(failing))
+    return out
+
+
 def all_subsets(t):
     n = t["n"]
     for m in range(1 << n):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import gc
+import random
+import re
 import weakref
 
 import pytest
@@ -8,7 +10,8 @@ import pytest
 import bruteforce as bf
 import tables as tb
 from conftest import build, catalog5, mask_of
-from reslat import InvalidAlgebraError, PreconditionError, validate
+from gen import boolean, godel, luk
+from reslat import InvalidAlgebraError, PreconditionError, check_tables, validate
 from reslat.alpha import alpha_lattice
 from reslat.classify import classification
 from reslat.coann import all_ideals, canonical_ideal_of, omega_family
@@ -52,6 +55,44 @@ def test_all_violations_reported_not_just_first():
     with pytest.raises(InvalidAlgebraError) as exc:
         validate(names, ji, mi, pm, ii, 0, 6)
     assert len({v.law for v in exc.value.violations}) > 1
+
+
+TRIPLE_LAWS = ("join-associative", "meet-associative", "prod-associative",
+               "adjointness", "adjointness-commuted", "prod-join-distributive",
+               "join-prod-superdistributive", "prod-monotone")
+
+
+def corruptions(count, seed):
+    """``count`` seeded copies of the catalog5 algebras, the 12-element
+    Lukasiewicz chain, the 9-element Goedel chain and 2^3, each with one
+    to three table entries set to another element: (n, tables) with
+    tables (join, meet, prod, impl, bottom, top)."""
+    rnd = random.Random(seed)
+    bases = [*catalog5(), luk(12), godel(9), boolean(3)]
+    for _ in range(count):
+        alg = rnd.choice(bases)
+        tables = [[list(row) for row in t]
+                  for t in (alg.join, alg.meet, alg.prod, alg.impl)]
+        for _ in range(rnd.randint(1, 3)):
+            row = rnd.choice(tables)[rnd.randrange(alg.n)]
+            y = rnd.randrange(alg.n)
+            row[y] = rnd.choice([v for v in range(alg.n) if v != row[y]] or [row[y]])
+        yield alg.n, (*tables, alg.bottom, alg.top)
+
+
+def test_check_tables_matches_oracle_on_corruptions():
+    broken = set()
+    invalid = 0
+    for n, tables in corruptions(1200, seed=8):
+        got = {}
+        for v in check_tables([str(i) for i in range(n)], *tables):
+            total = re.search(r" \((\d+) violations in total\)$", v.detail)
+            got[v.law] = (v.witness, int(total.group(1)) if total else 1)
+        assert got == bf.table_violations(n, *tables)
+        broken |= got.keys()
+        invalid += bool(got)
+    assert set(TRIPLE_LAWS) <= broken
+    assert invalid > 1000
 
 
 def test_malformed_shape_raises_value_error():
