@@ -8,7 +8,10 @@ import pytest
 
 import tables as tb
 from reslat import validate
+from reslat.classify import element_lattice
+from reslat.filters import principal_filter
 from reslat.search import mine
+from reslat.views import kernel_partition
 
 # The benchmark's input generators (luk, godel, boolean) are shared with
 # the tests rather than written twice.
@@ -68,3 +71,10 @@ def catalog5():
     """Every residuated lattice on at most five elements, up to
     isomorphism, in search order (37 algebras)."""
     return mine("true", 5).matches
+
+
+def element_kernel_by_principal_filter(alg):
+    """Elements generating the same filter; the quotient is the filter
+    lattice upside down."""
+    return kernel_partition(element_lattice(alg),
+                            [principal_filter(alg, x) for x in range(alg.n)])

@@ -1,6 +1,6 @@
-"""Analysis commands on 20- to 32-element carriers, and ``verify`` on 12-
-and 16-element ones, finish within a time budget and give the
-closed-form answers.
+"""Analysis commands on 20- to 32-element carriers, ``verify`` on 12-
+and 16-element ones, and ``validate`` on 64-element ones finish within
+a time budget and give the closed-form answers.
 
 Each command runs in a fresh interpreter, so no cache carries over from
 an earlier command on the same algebra.
@@ -29,6 +29,9 @@ COMMANDS = ("info", "coann", "spectrum", "filters", "classify", "alpha")
 # verify is exponential in the carrier size; these are the largest
 # carriers it is held to.
 VERIFY_ALGEBRAS = {"luk12": lambda: luk(12), "boolean4": lambda: boolean(4)}
+# validate is cubic in the carrier size; 64 elements is the largest
+# carrier a document may have.
+VALIDATE_ALGEBRAS = {"luk64": lambda: luk(64), "boolean6": lambda: boolean(6)}
 
 
 def expected(key):
@@ -69,14 +72,14 @@ def observed(cmd, item):
 def documents(tmp_path_factory):
     directory = tmp_path_factory.mktemp("budget")
     paths = {}
-    for key, make in {**ALGEBRAS, **VERIFY_ALGEBRAS}.items():
+    for key, make in {**ALGEBRAS, **VERIFY_ALGEBRAS, **VALIDATE_ALGEBRAS}.items():
         paths[key] = directory / f"{key}.alg"
         paths[key].write_text(render_algebra(make(), key))
     return paths
 
 
-def run_within_budget(cmd, path):
-    """The command's JSON report on one document, run in a fresh
+def run_within_budget(cmd, path, key="algebras"):
+    """The command's JSON record of one document, run in a fresh
     interpreter that must exit 0 within the budget."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -87,7 +90,7 @@ def run_within_budget(cmd, path):
     elapsed = time.monotonic() - started
     assert proc.returncode == 0, proc.stderr
     assert elapsed < BUDGET_S
-    return json.loads(proc.stdout)["algebras"][0]
+    return json.loads(proc.stdout)[key][0]
 
 
 @pytest.mark.parametrize("cmd", COMMANDS)
@@ -104,3 +107,9 @@ def test_command_within_budget(key, cmd, documents):
 def test_verify_within_budget(key, documents):
     item = run_within_budget("verify", documents[key])
     assert (item["passed"], item["failed"]) == (44, 0)
+
+
+@pytest.mark.parametrize("key", sorted(VALIDATE_ALGEBRAS))
+def test_validate_within_budget(key, documents):
+    item = run_within_budget("validate", documents[key], key="documents")
+    assert item == {"label": key, "valid": True, "elements": 64}

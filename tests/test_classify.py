@@ -5,21 +5,19 @@ import pytest
 import bruteforce as bf
 import tables as tb
 from conftest import build, mask_of
+from conftest import element_kernel_by_principal_filter
 from reslat.classify import (
     classification,
     cohull_lattice,
     congruence_classes_named,
     element_kernel_by_coannulet,
-    element_kernel_by_principal_filter,
     element_lattice,
     filter_kernel_spectral,
     filter_lattice,
     hull_lattice,
-    is_disjunctive,
-    is_quasicomplemented,
-    is_weakly_disjunctive,
     structure_maps,
 )
+from reslat.search import mine
 from reslat.views import is_boolean
 
 MAP_NAMES = (
@@ -197,9 +195,35 @@ def test_chain_kernels(chain3, chain3n):
 
 
 def test_predicate_shorthands(a7, bool4):
-    assert is_quasicomplemented(a7) and is_quasicomplemented(bool4)
-    assert not is_disjunctive(a7) and is_disjunctive(bool4)
-    assert not is_weakly_disjunctive(a7) and is_weakly_disjunctive(bool4)
+    res_a7, res_bool4 = classification(a7), classification(bool4)
+    assert res_a7.quasicomplemented and res_bool4.quasicomplemented
+    assert not res_a7.disjunctive and res_bool4.disjunctive
+    assert not res_a7.weakly_disjunctive and res_bool4.weakly_disjunctive
+
+
+def test_class_census_through_seven_elements():
+    """How many algebras of each size n = 1..7 fall in each class.
+
+    Every finite algebra is quasicomplemented; the disjunctive ones are
+    exactly the lattice-Boolean ones, the Boolean algebras (n = 1, 2, 4);
+    only weak disjunctivity, equal to a Boolean filter lattice, splits
+    the rest.
+    """
+    census = {"all": [], "quasicomplemented": [], "disjunctive": [],
+              "lattice_boolean": [], "weakly_disjunctive": [],
+              "filter_lattice_boolean": []}
+    for n in range(1, 8):
+        verdicts = [classification(alg) for alg in mine("true", n, n_min=n).matches]
+        census["all"].append(len(verdicts))
+        for cls in list(census)[1:]:
+            census[cls].append(sum(getattr(res, cls) for res in verdicts))
+    every = [1, 1, 2, 7, 26, 129, 723]
+    weakly = [1, 1, 1, 3, 7, 34, 191]
+    assert census == {
+        "all": every, "quasicomplemented": every,
+        "disjunctive": [1, 1, 0, 1, 0, 0, 0],
+        "lattice_boolean": [1, 1, 0, 1, 0, 0, 0],
+        "weakly_disjunctive": weakly, "filter_lattice_boolean": weakly}
 
 
 def test_single_element_classification():
