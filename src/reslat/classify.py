@@ -152,14 +152,6 @@ def structure_maps(alg: ResiduatedLattice) -> dict[str, MapReport]:
 # -- kernel partitions -----------------------------------------------------
 
 @derived
-def element_kernel_by_principal_filter(alg: ResiduatedLattice) -> Congruence:
-    """Elements generating the same filter; quotient is the filter
-    lattice upside down."""
-    return kernel_partition(element_lattice(alg),
-                            [principal_filter(alg, x) for x in range(alg.n)])
-
-
-@derived
 def element_kernel_by_coannulet(alg: ResiduatedLattice) -> Congruence:
     """Elements sharing a coannulet; quotient is the coannulet lattice."""
     return kernel_partition(element_lattice(alg),
@@ -303,15 +295,3 @@ def classification(alg: ResiduatedLattice) -> ClassificationResult:
         filter_lattice_boolean=flb,
         routes=routes,
     )
-
-
-def is_quasicomplemented(alg: ResiduatedLattice) -> bool:
-    return classification(alg).quasicomplemented
-
-
-def is_disjunctive(alg: ResiduatedLattice) -> bool:
-    return classification(alg).disjunctive
-
-
-def is_weakly_disjunctive(alg: ResiduatedLattice) -> bool:
-    return classification(alg).weakly_disjunctive

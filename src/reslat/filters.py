@@ -23,7 +23,6 @@ TAG_ALL = "ALL"
 TAG_PRIME = "PRIME"
 TAG_MAX = "MAX"
 TAG_MIN = "MIN"
-TAG_MIN_OVER = "MIN_OVER"
 TAG_ALPHA = "ALPHA"
 TAG_PRIME_ALPHA = "PRIME_ALPHA"
 TAG_COANNULET = "COANNULET"
@@ -113,10 +112,6 @@ def all_filters(alg: ResiduatedLattice) -> FilterFamily:
 
 def proper_filters(alg: ResiduatedLattice) -> tuple[int, ...]:
     return tuple(f for f in all_filters(alg) if f != alg.universe)
-
-
-def filter_meet(alg: ResiduatedLattice, f: int, g: int) -> int:
-    return f & g
 
 
 def filter_join(alg: ResiduatedLattice, f: int, g: int) -> int:

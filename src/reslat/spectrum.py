@@ -18,7 +18,6 @@ from .errors import PreconditionError
 from .filters import (
     TAG_MAX,
     TAG_MIN,
-    TAG_MIN_OVER,
     TAG_PRIME,
     FilterFamily,
     all_filters,
@@ -72,13 +71,6 @@ def minimal_primes(alg: ResiduatedLattice) -> FilterFamily:
     ps = prime_filters(alg).members
     members = [p for p in ps if not any(q != p and q & p == q for q in ps)]
     return FilterFamily(sort_family(members), TAG_MIN)
-
-
-def minimal_primes_over(alg: ResiduatedLattice, x_mask: int) -> FilterFamily:
-    """Minimal members of the primes containing the given subset."""
-    ps = [p for p in prime_filters(alg) if p & x_mask == x_mask]
-    members = [p for p in ps if not any(q != p and q & p == q for q in ps)]
-    return FilterFamily(sort_family(members), TAG_MIN_OVER)
 
 
 @derived

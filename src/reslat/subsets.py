@@ -42,10 +42,6 @@ def size(mask: int) -> int:
     return mask.bit_count()
 
 
-def is_subset(a: int, b: int) -> bool:
-    return a & ~b == 0
-
-
 def canonical_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 

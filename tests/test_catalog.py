@@ -8,12 +8,11 @@ import pytest
 
 import bruteforce as bf
 import tables as tb
-from conftest import build, catalog5, set_of
+from conftest import build, catalog5, element_kernel_by_principal_filter, set_of
 from reslat.alpha import alpha_closure, alpha_family, alpha_lattice
 from reslat.classify import (
     cohull_lattice,
     element_kernel_by_coannulet,
-    element_kernel_by_principal_filter,
     element_lattice,
     filter_kernel_spectral,
     filter_lattice,

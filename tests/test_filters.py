@@ -12,7 +12,6 @@ from reslat.filters import (
     all_filters,
     extend_filter,
     filter_join,
-    filter_meet,
     frame_check,
     generated_filter,
     is_filter,
@@ -67,7 +66,7 @@ def test_extend_filter_examples(a7):
 def test_meet_join_examples(a7):
     f2 = mask_of(a7, "b", "d", "1")
     f3 = mask_of(a7, "e", "1")
-    assert filter_meet(a7, f2, f3) == mask_of(a7, "1")
+    assert f2 & f3 == mask_of(a7, "1")
     assert filter_join(a7, f2, f3) == mask_of(a7, "a", "b", "c", "d", "e", "1")
 
 

@@ -10,7 +10,7 @@ import tables as tb
 from conftest import build
 from reslat import PreconditionError
 from reslat.algebra import check_tables, validate
-from reslat.classify import classification, is_weakly_disjunctive
+from reslat.classify import classification
 from reslat.search import (
     MAX_CARRIER,
     LatticeSkeleton,
@@ -245,7 +245,7 @@ def test_mine_finds_the_godel_chain():
     res = mine("not weakly_disjunctive", 3)
     assert len(res.matches) == 1
     alg = res.matches[0]
-    assert not is_weakly_disjunctive(alg)
+    assert not classification(alg).weakly_disjunctive
     godel = build(tb.CHAIN3)
     assert bf.canonical_form(alg) == bf.canonical_form(godel)
 
