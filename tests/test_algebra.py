@@ -65,8 +65,9 @@ TRIPLE_LAWS = ("join-associative", "meet-associative", "prod-associative",
 def corruptions(count, seed):
     """``count`` seeded copies of the catalog5 algebras, the 12-element
     Lukasiewicz chain, the 9-element Goedel chain and 2^3, each with one
-    to three table entries set to another element: (n, tables) with
-    tables (join, meet, prod, impl, bottom, top)."""
+    to three table entries set to another element (the one-element
+    algebra has none and stays valid): (n, tables) with tables (join,
+    meet, prod, impl, bottom, top)."""
     rnd = random.Random(seed)
     bases = [*catalog5(), luk(12), godel(9), boolean(3)]
     for _ in range(count):

@@ -4,8 +4,7 @@ import pytest
 
 import bruteforce as bf
 import tables as tb
-from conftest import build, mask_of
-from conftest import element_kernel_by_principal_filter
+from conftest import build, element_kernel_by_principal_filter, mask_of
 from reslat.classify import (
     classification,
     cohull_lattice,
