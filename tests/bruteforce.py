@@ -48,8 +48,10 @@ def table_violations(n, join, meet, prod, impl, bottom, top):
         return meet[a][b] == a
 
     def unary(*forms):
-        return [((x,) if w is None else w(x), ok(x))
-                for x in E for w, ok in forms]
+        return [(w(x), ok(x)) for x in E for w, ok in forms]
+
+    def alone(x):
+        return (x,)
 
     def binary(*forms):
         return [((x, y), ok(x, y)) for x, y in pairs for ok in forms]
@@ -58,8 +60,8 @@ def table_violations(n, join, meet, prod, impl, bottom, top):
         return [((x, y, z), ok(x, y, z)) for x, y, z in among]
 
     laws = {
-        "join-idempotent": unary((None, lambda x: join[x][x] == x)),
-        "meet-idempotent": unary((None, lambda x: meet[x][x] == x)),
+        "join-idempotent": unary((alone, lambda x: join[x][x] == x)),
+        "meet-idempotent": unary((alone, lambda x: meet[x][x] == x)),
         "prod-identity": unary((lambda x: (x, top), lambda x: prod[x][top] == x),
                                (lambda x: (top, x), lambda x: prod[top][x] == x)),
         "bottom-least": unary((lambda x: (bottom, x), lambda x: le(bottom, x))),
@@ -164,11 +166,6 @@ def maximal_filters(t):
 
 def minimal_primes(t):
     ps = primes(t)
-    return [p for p in ps if not any(q < p for q in ps)]
-
-
-def minimal_primes_over(t, xs):
-    ps = [p for p in primes(t) if set(xs) <= p]
     return [p for p in ps if not any(q < p for q in ps)]
 
 
