@@ -311,6 +311,13 @@ class ResiduatedLattice:
     def dense_elements(self) -> int:
         return from_elements(x for x in range(self.n) if self.is_dense(x))
 
+    @cached_property
+    def coannulets(self) -> tuple[int, ...]:
+        """coannulets[x] is the subset of y with x v y = top."""
+        top = self.top
+        return tuple(from_elements(y for y, j in enumerate(row) if j == top)
+                     for row in self.join)
+
     def product_of(self, mask: int) -> int:
         """Product of the members of a subset; top for the empty subset."""
         acc = self.top

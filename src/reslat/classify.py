@@ -7,6 +7,12 @@ preserving or order reversing homomorphism), and three of them with
 their kernel partitions.  The classification predicates at the bottom
 are each decided by several independent routes that a run refuses to
 let disagree.
+
+Classification reads its three injectivity routes off the image lists
+themselves (the coannulet of each element, the cohull of each filter,
+the coannulet of each filter's generator), so it never builds a map
+report; ``structure_maps`` serves the reports that print the maps with
+their kinds.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 
 from .algebra import ResiduatedLattice, derived
 from .alpha import is_alpha_filter
-from .coann import coannulet, coannulet_lattice, double_coannihilator
+from .coann import coannulet_lattice, double_coannihilator
 from .errors import InternalCheckError
 from .filters import (
     all_filters,
@@ -31,7 +37,7 @@ from .spectrum import (
     prime_filters,
     topologies_equal,
 )
-from .subsets import contains, full_set, singleton, sort_family
+from .subsets import contains, elements, full_set, singleton, sort_family
 from .views import (
     Congruence,
     LatticeView,
@@ -39,6 +45,7 @@ from .views import (
     is_boolean,
     kernel_partition,
     quotient_view,
+    view_from_tables,
 )
 
 HOM = "lattice homomorphism"
@@ -65,8 +72,7 @@ class MapReport:
 @derived
 def element_lattice(alg: ResiduatedLattice) -> LatticeView:
     """The order reduct of the algebra itself, nodes keyed by index."""
-    return build_view("elements", tuple(range(alg.n)),
-                      lambda x, y: alg.join[x][y], lambda x, y: alg.meet[x][y])
+    return view_from_tables("elements", range(alg.n), alg.join, alg.meet)
 
 
 @derived
@@ -125,9 +131,9 @@ def structure_maps(alg: ResiduatedLattice) -> dict[str, MapReport]:
     dl = cohull_lattice(alg)
 
     to_principal = [principal_filter(alg, x) for x in range(alg.n)]
-    to_perp = [coannulet(alg, x) for x in range(alg.n)]
+    to_perp = alg.coannulets
     to_cohull = [cohull(alg, f) for f in fl.keys]
-    to_gen_perp = [coannulet(alg, principal_generator(alg, f)) for f in fl.keys]
+    to_gen_perp = [to_perp[principal_generator(alg, f)] for f in fl.keys]
     space = full_set(len(minimal_primes(alg)))
     complement = [space & ~d for d in dl.keys]
     hull_of_perp = {to_perp[x]: hull(alg, singleton(x)) for x in range(alg.n)}
@@ -154,8 +160,7 @@ def structure_maps(alg: ResiduatedLattice) -> dict[str, MapReport]:
 @derived
 def element_kernel_by_coannulet(alg: ResiduatedLattice) -> Congruence:
     """Elements sharing a coannulet; quotient is the coannulet lattice."""
-    return kernel_partition(element_lattice(alg),
-                            [coannulet(alg, x) for x in range(alg.n)])
+    return kernel_partition(element_lattice(alg), alg.coannulets)
 
 
 @derived
@@ -199,15 +204,17 @@ def _agree(name, routes) -> bool:
     return verdicts.pop()
 
 
+def _injective(images) -> bool:
+    return len(set(images)) == len(images)
+
+
 def _has_quasicomplement(alg: ResiduatedLattice, x: int) -> bool:
-    dbl = double_coannihilator(alg, singleton(x))
-    return any(coannulet(alg, y) == dbl for y in range(alg.n))
+    return double_coannihilator(alg, singleton(x)) in alg.coannulets
 
 
 def _join_complement_with_dense_meet(alg: ResiduatedLattice, x: int) -> bool:
-    return any(alg.join[x][y] == alg.top and
-               contains(alg.dense_elements, alg.meet[x][y])
-               for y in range(alg.n))
+    return any(contains(alg.dense_elements, alg.meet[x][y])
+               for y in elements(alg.coannulets[x]))
 
 
 def _primes_without_dense_are_minimal(alg: ResiduatedLattice) -> bool:
@@ -218,14 +225,13 @@ def _primes_without_dense_are_minimal(alg: ResiduatedLattice) -> bool:
 
 
 def _nilpotent_absorber(alg: ResiduatedLattice, x: int) -> bool:
-    return any(alg.join[x][y] == alg.top and
-               contains(alg.nilpotents, alg.prod[x][y])
-               for y in range(alg.n))
+    return any(contains(alg.nilpotents, alg.prod[x][y])
+               for y in elements(alg.coannulets[x]))
 
 
 @derived
 def classification(alg: ResiduatedLattice) -> ClassificationResult:
-    maps = structure_maps(alg)
+    filters = all_filters(alg).members
     routes: dict[str, tuple[tuple[str, bool], ...]] = {}
 
     routes["quasicomplemented"] = (
@@ -248,8 +254,7 @@ def classification(alg: ResiduatedLattice) -> ClassificationResult:
 
     kernel = element_kernel_by_coannulet(alg)
     routes["disjunctive"] = (
-        ("element to coannulet map is injective",
-         maps["element to coannulet"].injective),
+        ("element to coannulet map is injective", _injective(alg.coannulets)),
         ("shared coannulet classes are singletons",
          all(len(c) == 1 for c in kernel.classes)),
     )
@@ -257,13 +262,14 @@ def classification(alg: ResiduatedLattice) -> ClassificationResult:
 
     spectral = filter_kernel_spectral(alg)
     routes["weakly disjunctive"] = (
-        ("filter to cohull map is injective", maps["filter to cohull"].injective),
+        ("filter to cohull map is injective",
+         _injective([cohull(alg, f) for f in filters])),
         ("filter to generator coannulet map is injective",
-         maps["filter to generator coannulet"].injective),
+         _injective([alg.coannulets[principal_generator(alg, f)] for f in filters])),
         ("equal cohull classes are singletons",
          all(len(c) == 1 for c in spectral.classes)),
         ("every filter swallows double coannihilators",
-         all(is_alpha_filter(alg, f) for f in all_filters(alg))),
+         all(is_alpha_filter(alg, f) for f in filters)),
         ("every prime filter swallows double coannihilators",
          all(is_alpha_filter(alg, p) for p in prime_filters(alg))),
     )

@@ -28,23 +28,19 @@ from .subsets import contains, elements, singleton, sort_family
 from .views import LatticeView, build_view, is_distributive
 
 
-@derived
 def coannulet(alg: ResiduatedLattice, x: int) -> int:
     """Elements whose join with x is top."""
-    out = 0
-    for a in range(alg.n):
-        if alg.join[a][x] == alg.top:
-            out |= singleton(a)
-    return out
+    return alg.coannulets[x]
 
 
 @derived
 def coannihilator(alg: ResiduatedLattice, mask: int) -> int:
     """Elements joining every member of the subset to top: the
     intersection of the member coannulets."""
+    perps = alg.coannulets
     out = alg.universe
     for x in elements(mask):
-        out &= coannulet(alg, x)
+        out &= perps[x]
     return out
 
 
@@ -70,8 +66,7 @@ def pseudocomplement_check(alg: ResiduatedLattice, f_mask: int) -> bool:
 
 @derived
 def coannulet_family(alg: ResiduatedLattice) -> FilterFamily:
-    return FilterFamily(sort_family(coannulet(alg, x) for x in range(alg.n)),
-                        TAG_COANNULET)
+    return FilterFamily(sort_family(alg.coannulets), TAG_COANNULET)
 
 
 @derived
@@ -94,12 +89,13 @@ def coannulet_lattice(alg: ResiduatedLattice) -> LatticeView:
     whichever representatives x and y are taken.
     """
     fam = coannulet_family(alg)
+    perps = alg.coannulets
     rep: dict[int, int] = {}
-    for x in range(alg.n):
-        rep.setdefault(coannulet(alg, x), x)
+    for x, p in enumerate(perps):
+        rep.setdefault(p, x)
 
     def jn(u, v):
-        return coannulet(alg, alg.join[rep[u]][rep[v]])
+        return perps[alg.join[rep[u]][rep[v]]]
 
     def mt(u, v):
         return u & v
@@ -176,9 +172,10 @@ def omega_filter(alg: ResiduatedLattice, ideal_mask: int) -> int:
     of coannulets over the ideal's members, always a filter."""
     if not is_lattice_ideal(alg, ideal_mask):
         raise PreconditionError(f"not a lattice ideal: {alg.subset_str(ideal_mask)}")
+    perps = alg.coannulets
     out = 0
     for x in elements(ideal_mask):
-        out |= coannulet(alg, x)
+        out |= perps[x]
     return out
 
 

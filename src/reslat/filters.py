@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import ResiduatedLattice, derived
 from .errors import PreconditionError
-from .subsets import contains, elements, singleton, sort_family
+from .subsets import elements, singleton, sort_family
 
 TAG_ALL = "ALL"
 TAG_PRIME = "PRIME"
@@ -51,19 +51,6 @@ class FilterFamily:
 
 
 @derived
-def is_filter(alg: ResiduatedLattice, mask: int) -> bool:
-    if mask == 0:
-        return False
-    for x in elements(mask):
-        if alg.up[x] & ~mask:
-            return False
-        for y in elements(mask):
-            if not contains(mask, alg.prod[x][y]):
-                return False
-    return True
-
-
-@derived
 def generated_filter(alg: ResiduatedLattice, mask: int) -> int:
     """Least filter containing the subset; the empty subset gives {top}.
 
@@ -79,6 +66,11 @@ def generated_filter(alg: ResiduatedLattice, mask: int) -> int:
         if sq == p:
             return alg.up[p]
         p = sq
+
+
+def is_filter(alg: ResiduatedLattice, mask: int) -> bool:
+    """Whether the subset is the least filter containing it."""
+    return generated_filter(alg, mask) == mask
 
 
 def principal_filter(alg: ResiduatedLattice, x: int) -> int:

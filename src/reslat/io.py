@@ -225,14 +225,6 @@ def check_stream(text: str) -> tuple[DocumentCheck, ...]:
     return tuple(out)
 
 
-def parse_document(text: str) -> NamedAlgebra:
-    """Exactly one document."""
-    docs = parse_stream(text)
-    if len(docs) != 1:
-        raise ParseError(f"expected one document, found {len(docs)}")
-    return docs[0]
-
-
 def render_algebra(alg: ResiduatedLattice, label: str | None = None) -> str:
     """Canonical document text; parsing it returns an equal algebra."""
     lines = []

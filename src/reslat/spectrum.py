@@ -40,14 +40,21 @@ class PrimeWitness:
 
 @derived
 def is_prime(alg: ResiduatedLattice, mask: int) -> PrimeWitness:
-    """Primality of a proper filter, with a witness pair on failure."""
+    """Primality of a proper filter, with a witness pair on failure.
+
+    The witness is the first pair (x, y) in row-major order with x v y
+    in the filter and neither x nor y in it, so only the elements
+    outside the filter are scanned.
+    """
     if not is_filter(alg, mask):
         raise PreconditionError(f"not a filter: {alg.subset_str(mask)}")
     if mask == alg.universe:
         raise PreconditionError("primality is only defined for proper filters")
-    for x in range(alg.n):
-        for y in range(alg.n):
-            if contains(mask, alg.join[x][y]) and not contains(mask, x) and not contains(mask, y):
+    outside = tuple(elements(alg.universe & ~mask))
+    for x in outside:
+        row = alg.join[x]
+        for y in outside:
+            if mask >> row[y] & 1:
                 return PrimeWitness(mask, (x, y))
     return PrimeWitness(mask, None)
 

@@ -52,8 +52,6 @@ def build_view(name: str,
     internal-consistency failure of the caller's construction.
     """
     keys = tuple(keys)
-    if len(set(keys)) != len(keys):
-        raise PreconditionError(f"{name}: duplicate keys")
     pos = {k: i for i, k in enumerate(keys)}
 
     def table(fn, label):
@@ -69,8 +67,17 @@ def build_view(name: str,
             t.append(tuple(row))
         return tuple(t)
 
-    join = table(join_fn, "join")
-    meet = table(meet_fn, "meet")
+    return view_from_tables(name, keys, table(join_fn, "join"), table(meet_fn, "meet"))
+
+
+def view_from_tables(name: str, keys: Sequence[Key],
+                     join: Sequence[Sequence[int]],
+                     meet: Sequence[Sequence[int]]) -> LatticeView:
+    """A view from join and meet tables over node indices, which the
+    caller builds closed on the keys."""
+    keys = tuple(keys)
+    if len(set(keys)) != len(keys):
+        raise PreconditionError(f"{name}: duplicate keys")
     nodes = range(len(keys))
     bottom = reduce(lambda i, j: meet[i][j], nodes)
     top = reduce(lambda i, j: join[i][j], nodes)
@@ -78,14 +85,22 @@ def build_view(name: str,
 
 
 def is_distributive(view: LatticeView) -> bool:
-    n = view.n
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                lhs = view.meet[x][view.join[y][z]]
-                rhs = view.join[view.meet[x][y]][view.meet[x][z]]
-                if lhs != rhs:
-                    return False
+    """Whether x ^ (y v z) == (x ^ y) v (x ^ z) for all nodes.
+
+    Checked a row at a time, for each pair (x, y) across every z at
+    once, as ``algebra.check_tables`` checks its triple laws: rows are
+    bytes padded to 256, so ``s.translate(t)`` is the row t[s[z]] over
+    all z.  No view has more nodes than its algebra has elements, 64 at
+    most, so every index fits a byte.
+    """
+    pad = bytes(256 - view.n)
+    J, M = [bytes(r) for r in view.join], [bytes(r) for r in view.meet]
+    Jt, Mt = [r + pad for r in J], [r + pad for r in M]
+    for x, mx in enumerate(view.meet):
+        Mx, Mtx = M[x], Mt[x]
+        for y, Jy in enumerate(J):
+            if Jy.translate(Mtx) != Mx.translate(Jt[mx[y]]):
+                return False
     return True
 
 
@@ -199,17 +214,10 @@ def quotient_view(view: LatticeView, cong: Congruence) -> LatticeView:
         for i in c:
             cls[i] = idx
     keys = tuple(tuple(view.keys[i] for i in c) for c in cong.classes)
-    pos = {k: idx for idx, k in enumerate(keys)}
-
-    def jn(a, b):
-        i, j = cong.classes[pos[a]][0], cong.classes[pos[b]][0]
-        return keys[cls[view.join[i][j]]]
-
-    def mt(a, b):
-        i, j = cong.classes[pos[a]][0], cong.classes[pos[b]][0]
-        return keys[cls[view.meet[i][j]]]
-
-    return build_view(view.name + "/~", keys, jn, mt)
+    reps = [c[0] for c in cong.classes]
+    join = tuple(tuple(cls[view.join[i][j]] for j in reps) for i in reps)
+    meet = tuple(tuple(cls[view.meet[i][j]] for j in reps) for i in reps)
+    return view_from_tables(view.name + "/~", keys, join, meet)
 
 
 def kernel_transports(view: LatticeView, images: Sequence[Hashable],

@@ -145,14 +145,20 @@ def proper_filters(t):
     return [f for f in filters(t) if f != full]
 
 
-def is_prime(t, f):
-    if not is_filter(t, f) or len(f) == t["n"]:
-        return False
+def prime_witness(t, f):
+    """First pair (x, y), scanning every x and then every y, with x v y
+    in f and neither x nor y in f; None when there is none."""
     for x in range(t["n"]):
         for y in range(t["n"]):
             if t["join"][x][y] in f and x not in f and y not in f:
-                return False
-    return True
+                return (x, y)
+    return None
+
+
+def is_prime(t, f):
+    if not is_filter(t, f) or len(f) == t["n"]:
+        return False
+    return prime_witness(t, f) is None
 
 
 def primes(t):
@@ -346,6 +352,21 @@ def lattice_law_failures(view):
                         meet[meet[x][y]][z] != meet[x][meet[y][z]]:
                     out.append(("associativity", x, y, z))
     return out
+
+
+def is_distributive(view):
+    """x ^ (y v z) == (x ^ y) v (x ^ z) for every triple of nodes."""
+    n, join, meet = view.n, view.join, view.meet
+    return all(meet[x][join[y][z]] == join[meet[x][y]][meet[x][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def is_boolean(view):
+    """Distributive, and every node has a complement."""
+    n, join, meet = view.n, view.join, view.meet
+    return is_distributive(view) and all(
+        any(meet[x][y] == view.bottom and join[x][y] == view.top for y in range(n))
+        for x in range(n))
 
 
 def view_filters(view):

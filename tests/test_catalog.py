@@ -1,6 +1,6 @@
 """The landscape of every algebra on at most five elements against the
-brute-force oracle, plus the omega-filter representative and structure
-map facts that no suite statement checks."""
+brute-force oracle, plus the omega-filter representative, structure
+map and lattice view facts that no suite statement checks."""
 
 from __future__ import annotations
 
@@ -8,9 +8,11 @@ import pytest
 
 import bruteforce as bf
 import tables as tb
+from reslat import InternalCheckError, PreconditionError
 from conftest import build, catalog5, element_kernel_by_principal_filter, set_of
 from reslat.alpha import alpha_closure, alpha_family, alpha_lattice
 from reslat.classify import (
+    classification,
     cohull_lattice,
     element_kernel_by_coannulet,
     element_lattice,
@@ -36,13 +38,16 @@ from reslat.filters import (
     all_filters,
     extend_filter,
     generated_filter,
+    is_filter,
     principal_filter,
     principal_generator,
+    proper_filters,
 )
 from reslat.spectrum import (
     cohull,
     hull,
     is_minimal_prime,
+    is_prime,
     join_closed_sets,
     maximal_filters,
     minimal_primes,
@@ -51,7 +56,13 @@ from reslat.spectrum import (
     separate,
 )
 from reslat.subsets import full_set, singleton
-from reslat.views import quotient_view, view_filters
+from reslat.views import (
+    build_view,
+    is_boolean,
+    is_distributive,
+    quotient_view,
+    view_filters,
+)
 
 CATALOG_SIZE = 37
 MAP_KINDS = {
@@ -92,6 +103,7 @@ def test_landscape_matches_oracle(index):
     assert as_sets(alg, all_filters(alg)) == set(filters)
     for m in range(alg.universe + 1):
         s = set_of(alg, m)
+        assert is_filter(alg, m) == bf.is_filter(t, s)
         assert set_of(alg, generated_filter(alg, m)) == bf.generated(t, s)
         assert set_of(alg, coannihilator(alg, m)) == bf.perp(t, s)
         assert set_of(alg, alpha_closure(alg, m)) == bf.alpha_closure(t, s)
@@ -180,16 +192,82 @@ def test_structure_maps_are_well_defined(source):
 
 
 @pytest.mark.parametrize("source", fixture_and_catalog_params())
+def test_injectivity_routes_match_map_reports(source):
+    """Classification reads injectivity off the image lists, the map
+    reports off the views; both must say the same."""
+    alg = algebra_of(source)
+    routes = {label: verdict
+              for verdicts in classification(alg).routes.values()
+              for label, verdict in verdicts}
+    maps = structure_maps(alg)
+    for name in ("element to coannulet", "filter to cohull",
+                 "filter to generator coannulet"):
+        assert routes[f"{name} map is injective"] == maps[name].injective, name
+
+
+def derived_views(alg):
+    return [element_lattice(alg), filter_lattice(alg), hull_lattice(alg),
+            cohull_lattice(alg), coannulet_lattice(alg),
+            coannihilator_lattice(alg), alpha_lattice(alg),
+            omega_filter_lattice(alg),
+            quotient_view(element_lattice(alg), element_kernel_by_coannulet(alg)),
+            quotient_view(element_lattice(alg),
+                          element_kernel_by_principal_filter(alg)),
+            quotient_view(filter_lattice(alg), filter_kernel_spectral(alg))]
+
+
+@pytest.mark.parametrize("source", fixture_and_catalog_params())
 def test_derived_views_are_bounded_lattices(source):
     alg = algebra_of(source)
-    views = [element_lattice(alg), filter_lattice(alg), hull_lattice(alg),
-             cohull_lattice(alg), coannulet_lattice(alg),
-             coannihilator_lattice(alg), alpha_lattice(alg),
-             omega_filter_lattice(alg),
-             quotient_view(element_lattice(alg), element_kernel_by_coannulet(alg)),
-             quotient_view(element_lattice(alg),
-                           element_kernel_by_principal_filter(alg)),
-             quotient_view(filter_lattice(alg), filter_kernel_spectral(alg))]
-    for view in views:
+    for view in derived_views(alg):
         assert bf.lattice_law_failures(view) == [], view.name
         assert view_filters(view) == tuple(bf.view_filters(view)), view.name
+
+
+@pytest.mark.parametrize("source", fixture_and_catalog_params())
+def test_row_scans_match_oracle(source):
+    """Distributivity checked a row at a time, and the primality witness
+    found scanning only the elements outside the filter, against the
+    definitions."""
+    alg = algebra_of(source)
+    for view in derived_views(alg):
+        assert is_distributive(view) == bf.is_distributive(view), view.name
+        assert is_boolean(view) == bf.is_boolean(view), view.name
+    t = oracle_of(alg)
+    for f in proper_filters(alg):
+        assert is_prime(alg, f).failure == bf.prime_witness(t, set_of(alg, f))
+
+
+def lattice_from_order(name, ups):
+    """A view built with build_view from each key's up-set."""
+    def least(common, bounds):
+        return next(k for k in common if common <= bounds[k])
+
+    downs = {k: {d for d in ups if k in ups[d]} for k in ups}
+    return build_view(name, tuple(ups),
+                      lambda x, y: least(ups[x] & ups[y], ups),
+                      lambda x, y: least(downs[x] & downs[y], downs))
+
+
+NON_DISTRIBUTIVE = {
+    "M3": {"0": set("0abc1"), "a": set("a1"), "b": set("b1"), "c": set("c1"),
+           "1": set("1")},
+    "N5": {"0": set("0abc1"), "a": set("ab1"), "b": set("b1"), "c": set("c1"),
+           "1": set("1")},
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_DISTRIBUTIVE))
+def test_row_distributivity_rejects_m3_and_n5(name):
+    view = lattice_from_order(name, NON_DISTRIBUTIVE[name])
+    assert bf.lattice_law_failures(view) == []
+    assert not bf.is_distributive(view)
+    assert not is_distributive(view)
+    assert not is_boolean(view)
+
+
+def test_build_view_guards():
+    with pytest.raises(PreconditionError, match="duplicate keys"):
+        build_view("twice", (1, 1), max, min)
+    with pytest.raises(InternalCheckError, match="not a member of the family"):
+        build_view("open", (1, 2), lambda a, b: a + b, min)

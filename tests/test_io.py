@@ -12,7 +12,6 @@ from reslat.io import (
     bundled_names,
     check_stream,
     load_bundled,
-    parse_document,
     parse_stream,
     render_algebra,
     render_stream,
@@ -36,6 +35,14 @@ impl:
 1 1
 0 1
 """
+
+
+def parse_document(text):
+    """Exactly one document."""
+    docs = parse_stream(text)
+    if len(docs) != 1:
+        raise ParseError(f"expected one document, found {len(docs)}")
+    return docs[0]
 
 
 def test_parse_minimal_document():
