@@ -16,9 +16,9 @@ element by element for its witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, wraps
 
+from .record import Record, setfield
 from .subsets import contains, elements, from_elements, full_set, render
 
 Table = tuple[tuple[int, ...], ...]
@@ -27,13 +27,15 @@ Table = tuple[tuple[int, ...], ...]
 # so power(x, 0) == top for every x.
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Record):
     """One violated law with a concrete witness tuple of element indices."""
 
-    law: str
-    witness: tuple[int, ...]
-    detail: str
+    _fields = ("law", "witness", "detail")
+
+    def __init__(self, law: str, witness: tuple[int, ...], detail: str):
+        setfield(self, "law", law)
+        setfield(self, "witness", witness)
+        setfield(self, "detail", detail)
 
 
 class InvalidAlgebraError(ValueError):
@@ -203,9 +205,10 @@ def derived(fn):
     """Memoise ``fn(obj, *args)`` in a dict kept in ``obj.__dict__``.
 
     That is where ``cached_property`` stores its values too, so it works
-    on frozen dataclasses.  The key is ``(fn, *args)``: a lookup hashes
-    the arguments but never ``obj``, whose tables are costly to hash,
-    and the memo is freed with ``obj``.  An exception from ``fn`` is not
+    on records whose fields cannot be reassigned (``record.Record``).
+    The key is ``(fn, *args)``: a lookup hashes the arguments but never
+    ``obj``, whose tables are costly to hash, and the memo is freed with
+    ``obj``.  An exception from ``fn`` is not
     memoised.  Arguments are positional only.
     """
     @wraps(fn)
@@ -223,26 +226,32 @@ def derived(fn):
     return memoised
 
 
-@dataclass(frozen=True)
-class ResiduatedLattice:
+class ResiduatedLattice(Record):
     """Validated operation tables plus the derived order as bit vectors.
 
-    up[x] is the subset {y : x <= y}, down[x] is {y : y <= x}.  Instances
-    are immutable and hashable.  What is derived from one (filters,
-    primes, coannulets, verdicts) lives in a per-instance memo filled by
-    ``derived`` functions and ``cached_property`` attributes, and is
-    freed with the instance.
+    up[x] is the subset {y : x <= y}, down[x] is {y : y <= x}.  The
+    fields cannot be reassigned, and two instances with equal fields are
+    equal and hash alike.  What is derived from one (filters, primes,
+    coannulets, verdicts) lives in a per-instance memo filled by
+    ``derived`` functions and ``cached_property`` attributes, takes no
+    part in equality, and is freed with the instance.
     """
 
-    names: tuple[str, ...]
-    join: Table
-    meet: Table
-    prod: Table
-    impl: Table
-    bottom: int
-    top: int
-    up: tuple[int, ...]
-    down: tuple[int, ...]
+    _fields = ("names", "join", "meet", "prod", "impl", "bottom", "top",
+               "up", "down")
+
+    def __init__(self, names: tuple[str, ...], join: Table, meet: Table,
+                 prod: Table, impl: Table, bottom: int, top: int,
+                 up: tuple[int, ...], down: tuple[int, ...]):
+        setfield(self, "names", names)
+        setfield(self, "join", join)
+        setfield(self, "meet", meet)
+        setfield(self, "prod", prod)
+        setfield(self, "impl", impl)
+        setfield(self, "bottom", bottom)
+        setfield(self, "top", top)
+        setfield(self, "up", up)
+        setfield(self, "down", down)
 
     @property
     def n(self) -> int:

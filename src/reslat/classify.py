@@ -17,8 +17,6 @@ their kinds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import ResiduatedLattice, derived
 from .alpha import is_alpha_filter
 from .coann import coannulet_lattice, double_coannihilator
@@ -29,6 +27,7 @@ from .filters import (
     principal_filter,
     principal_generator,
 )
+from .record import Record, setfield
 from .spectrum import (
     cohull,
     hull,
@@ -52,17 +51,22 @@ HOM = "lattice homomorphism"
 DUAL_HOM = "dual lattice homomorphism"
 
 
-@dataclass(frozen=True)
-class MapReport:
+class MapReport(Record):
     """One structure map: where it goes, what it preserves, how it sorts."""
 
-    name: str
-    domain: str
-    codomain: str
-    kind: str
-    injective: bool
-    surjective: bool
-    pairs: tuple[tuple[object, object], ...]
+    _fields = ("name", "domain", "codomain", "kind", "injective",
+               "surjective", "pairs")
+
+    def __init__(self, name: str, domain: str, codomain: str, kind: str,
+                 injective: bool, surjective: bool,
+                 pairs: tuple[tuple[object, object], ...]):
+        setfield(self, "name", name)
+        setfield(self, "domain", domain)
+        setfield(self, "codomain", codomain)
+        setfield(self, "kind", kind)
+        setfield(self, "injective", injective)
+        setfield(self, "surjective", surjective)
+        setfield(self, "pairs", pairs)
 
     @property
     def bijective(self) -> bool:
@@ -184,16 +188,22 @@ def congruence_classes_named(alg: ResiduatedLattice, cong: Congruence,
 
 # -- classification --------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassificationResult:
+class ClassificationResult(Record):
     """Verdicts with every route's answer retained."""
 
-    quasicomplemented: bool
-    disjunctive: bool
-    weakly_disjunctive: bool
-    lattice_boolean: bool
-    filter_lattice_boolean: bool
-    routes: dict[str, tuple[tuple[str, bool], ...]]
+    _fields = ("quasicomplemented", "disjunctive", "weakly_disjunctive",
+               "lattice_boolean", "filter_lattice_boolean", "routes")
+
+    def __init__(self, quasicomplemented: bool, disjunctive: bool,
+                 weakly_disjunctive: bool, lattice_boolean: bool,
+                 filter_lattice_boolean: bool,
+                 routes: dict[str, tuple[tuple[str, bool], ...]]):
+        setfield(self, "quasicomplemented", quasicomplemented)
+        setfield(self, "disjunctive", disjunctive)
+        setfield(self, "weakly_disjunctive", weakly_disjunctive)
+        setfield(self, "lattice_boolean", lattice_boolean)
+        setfield(self, "filter_lattice_boolean", filter_lattice_boolean)
+        setfield(self, "routes", routes)
 
 
 def _agree(name, routes) -> bool:

@@ -13,10 +13,9 @@ a finite carrier every filter is principal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import ResiduatedLattice, derived
 from .errors import PreconditionError
+from .record import Record, setfield
 from .subsets import elements, singleton, sort_family
 
 TAG_ALL = "ALL"
@@ -30,12 +29,14 @@ TAG_COANNIHILATOR = "COANNIHILATOR"
 TAG_OMEGA = "OMEGA"
 
 
-@dataclass(frozen=True)
-class FilterFamily:
+class FilterFamily(Record):
     """A canonical-ordered tuple of filter masks with a provenance tag."""
 
-    members: tuple[int, ...]
-    tag: str
+    _fields = ("members", "tag")
+
+    def __init__(self, members: tuple[int, ...], tag: str):
+        setfield(self, "members", members)
+        setfield(self, "tag", tag)
 
     def __iter__(self):
         return iter(self.members)

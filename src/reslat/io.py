@@ -25,11 +25,10 @@ algebra.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
-from importlib import resources
 
 from .algebra import InvalidAlgebraError, ResiduatedLattice, validate
 from .errors import PreconditionError
+from .record import Record, setfield
 
 SECTION_NAMES = ("label", "elements", "bottom", "top")
 TABLE_NAMES = ("join", "meet", "prod", "impl")
@@ -41,12 +40,14 @@ class ParseError(PreconditionError):
     """Malformed document text, with 1-based line numbers in the message."""
 
 
-@dataclass(frozen=True)
-class NamedAlgebra:
+class NamedAlgebra(Record):
     """An algebra together with the label its document carried."""
 
-    label: str | None
-    algebra: ResiduatedLattice
+    _fields = ("label", "algebra")
+
+    def __init__(self, label: str | None, algebra: ResiduatedLattice):
+        setfield(self, "label", label)
+        setfield(self, "algebra", algebra)
 
 
 def _strip(line: str) -> str:
@@ -192,14 +193,17 @@ def parse_stream(text: str) -> tuple[NamedAlgebra, ...]:
     return tuple(iter_stream(text))
 
 
-@dataclass(frozen=True)
-class DocumentCheck:
+class DocumentCheck(Record):
     """One document's validation verdict: the algebra when the tables
     satisfy every law, otherwise the list of violations."""
 
-    label: str | None
-    algebra: ResiduatedLattice | None
-    violations: tuple
+    _fields = ("label", "algebra", "violations")
+
+    def __init__(self, label: str | None, algebra: ResiduatedLattice | None,
+                 violations: tuple):
+        setfield(self, "label", label)
+        setfield(self, "algebra", algebra)
+        setfield(self, "violations", violations)
 
     @property
     def valid(self) -> bool:
@@ -256,5 +260,9 @@ def load_bundled(name: str) -> NamedAlgebra:
     if name not in BUNDLED:
         raise PreconditionError(
             f"no bundled algebra {name!r}; available: " + ", ".join(BUNDLED))
+    # Imported here, not at the top: it is slow to import and only
+    # bundled names need it.
+    from importlib import resources
+
     text = (resources.files("reslat") / "fixtures" / f"{name}.alg").read_text()
     return parse_stream(text)[0]

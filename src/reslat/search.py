@@ -26,33 +26,35 @@ turns the walk into a counterexample miner.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations, product
 
 from .algebra import ResiduatedLattice
 from .classify import classification
 from .errors import PreconditionError
+from .record import Record, setfield
 
 MAX_CARRIER = 8
 
 _MIDDLE_NAMES = "abcdefg"
 
 
-@dataclass(frozen=True)
-class LatticeSkeleton:
+class LatticeSkeleton(Record):
     """A bounded lattice on 0..n-1 in canonical form, bottom 0, top n-1."""
 
-    n: int
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
+    _fields = ("n", "join", "meet")
+
+    def __init__(self, n: int, join: tuple[tuple[int, ...], ...],
+                 meet: tuple[tuple[int, ...], ...]):
+        setfield(self, "n", n)
+        setfield(self, "join", join)
+        setfield(self, "meet", meet)
 
     def leq(self, x: int, y: int) -> bool:
         return self.meet[x][y] == x
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(Record):
     """Work counters for one enumeration run.
 
     examined counts complete tables reached, which the row checks make
@@ -62,11 +64,15 @@ class SearchStats:
     iso_rejected.
     """
 
-    examined: int
-    pruned: int
-    found: int
-    emitted: int
-    iso_rejected: int
+    _fields = ("examined", "pruned", "found", "emitted", "iso_rejected")
+
+    def __init__(self, examined: int, pruned: int, found: int, emitted: int,
+                 iso_rejected: int):
+        setfield(self, "examined", examined)
+        setfield(self, "pruned", pruned)
+        setfield(self, "found", found)
+        setfield(self, "emitted", emitted)
+        setfield(self, "iso_rejected", iso_rejected)
 
     def __add__(self, other: "SearchStats") -> "SearchStats":
         return SearchStats(
@@ -178,7 +184,11 @@ def enumerate_lattices(n: int) -> tuple[LatticeSkeleton, ...]:
         # The join table fixes the order, hence the meet table too, so
         # the least (join, meet) relabeling is the one with least join.
         orbit = {_relabel(join, p): p for p in perms}
-        seen.update(orbit)
+        # Only naturally labelled tables are ever looked up: those whose
+        # permutation keeps every order pair x < y increasing.
+        order = [xy for xy, c in zip(pairs, choice) if c]
+        seen.update(t for t, p in orbit.items()
+                    if all(p[x] < p[y] for x, y in order))
         key = min(orbit)
         found.append((key, _relabel(meet, orbit[key])))
     found.sort()
@@ -477,13 +487,16 @@ def parse_predicate(src: str):
     return compiled
 
 
-@dataclass(frozen=True)
-class MineResult:
+class MineResult(Record):
     """Matching algebras plus the work done finding them."""
 
-    matches: tuple[ResiduatedLattice, ...]
-    lattices: int
-    stats: SearchStats
+    _fields = ("matches", "lattices", "stats")
+
+    def __init__(self, matches: tuple[ResiduatedLattice, ...], lattices: int,
+                 stats: SearchStats):
+        setfield(self, "matches", matches)
+        setfield(self, "lattices", lattices)
+        setfield(self, "stats", stats)
 
 
 def mine(predicate: str, n_max: int, n_min: int = 1) -> MineResult:

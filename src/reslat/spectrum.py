@@ -11,8 +11,6 @@ same subset of points always prints the same way.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import ResiduatedLattice, derived
 from .errors import PreconditionError
 from .filters import (
@@ -24,15 +22,18 @@ from .filters import (
     extend_filter,
     is_filter,
 )
+from .record import Record, setfield
 from .subsets import contains, elements, full_set, singleton, sort_family
 
 
-@dataclass(frozen=True)
-class PrimeWitness:
+class PrimeWitness(Record):
     """Result of a primality check; falsy with the failing pair attached."""
 
-    mask: int
-    failure: tuple[int, int] | None
+    _fields = ("mask", "failure")
+
+    def __init__(self, mask: int, failure: tuple[int, int] | None):
+        setfield(self, "mask", mask)
+        setfield(self, "failure", failure)
 
     def __bool__(self) -> bool:
         return self.failure is None
@@ -207,13 +208,16 @@ def kernel_filter(alg: ResiduatedLattice, points: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Topology:
+class Topology(Record):
     """Opens over the minimal-prime points, with the generating basis."""
 
-    points: FilterFamily
-    opens: tuple[int, ...]
-    basis: tuple[int, ...]
+    _fields = ("points", "opens", "basis")
+
+    def __init__(self, points: FilterFamily, opens: tuple[int, ...],
+                 basis: tuple[int, ...]):
+        setfield(self, "points", points)
+        setfield(self, "opens", opens)
+        setfield(self, "basis", basis)
 
     @property
     def space(self) -> int:

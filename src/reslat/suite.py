@@ -10,8 +10,6 @@ carries a concrete witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .algebra import ResiduatedLattice
 from .alpha import (
     alpha_closure,
@@ -63,6 +61,7 @@ from .filters import (
     principal_generator,
     proper_filters,
 )
+from .record import Record, setfield
 from .spectrum import (
     cohull,
     dual_hull_topology,
@@ -92,15 +91,19 @@ from .views import (
 )
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Outcome of one verified statement on one algebra."""
 
-    ident: str
-    statement: str
-    sides: tuple[tuple[str, bool], ...]
-    passed: bool
-    witness: str
+    _fields = ("ident", "statement", "sides", "passed", "witness")
+
+    def __init__(self, ident: str, statement: str,
+                 sides: tuple[tuple[str, bool], ...], passed: bool,
+                 witness: str):
+        setfield(self, "ident", ident)
+        setfield(self, "statement", statement)
+        setfield(self, "sides", sides)
+        setfield(self, "passed", passed)
+        setfield(self, "witness", witness)
 
 
 def _law(checks) -> tuple[tuple[tuple[str, bool], ...], bool, str]:

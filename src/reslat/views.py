@@ -9,26 +9,34 @@ and quotient machinery apply uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable, Hashable, Sequence
 from functools import reduce
-from typing import Callable, Hashable, Sequence
 
 from .algebra import derived
 from .errors import InternalCheckError, PreconditionError
+from .record import Record, setfield
 
 Key = Hashable
 
 
-@dataclass(frozen=True)
-class LatticeView:
-    """A finite bounded lattice: canonical keys plus join/meet tables."""
+class LatticeView(Record):
+    """A finite bounded lattice: canonical keys plus join/meet tables.
 
-    name: str
-    keys: tuple[Key, ...]
-    join: tuple[tuple[int, ...], ...]
-    meet: tuple[tuple[int, ...], ...]
-    bottom: int
-    top: int
+    The fields cannot be reassigned, so what ``derived`` functions
+    memoise on a view stays true of it.
+    """
+
+    _fields = ("name", "keys", "join", "meet", "bottom", "top")
+
+    def __init__(self, name: str, keys: tuple[Key, ...],
+                 join: tuple[tuple[int, ...], ...],
+                 meet: tuple[tuple[int, ...], ...], bottom: int, top: int):
+        setfield(self, "name", name)
+        setfield(self, "keys", keys)
+        setfield(self, "join", join)
+        setfield(self, "meet", meet)
+        setfield(self, "bottom", bottom)
+        setfield(self, "top", top)
 
     @property
     def n(self) -> int:
@@ -162,12 +170,14 @@ def is_sublattice(sub: LatticeView, sup: LatticeView) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Congruence:
+class Congruence(Record):
     """A partition of a view's nodes compatible with both operations."""
 
-    view_name: str
-    classes: tuple[tuple[int, ...], ...]
+    _fields = ("view_name", "classes")
+
+    def __init__(self, view_name: str, classes: tuple[tuple[int, ...], ...]):
+        setfield(self, "view_name", view_name)
+        setfield(self, "classes", classes)
 
     def class_of(self, i: int) -> tuple[int, ...]:
         for c in self.classes:

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -300,3 +304,19 @@ def test_multiple_algebras_one_report(capsys):
     assert len(blocks) == 2
     assert blocks[0].startswith("chain2:")
     assert blocks[1].startswith("chain3:")
+
+
+# Modules that cost start-up time and that no command needs before it
+# reads its input.
+HEAVY_AT_START = ("dataclasses", "inspect", "typing", "importlib.resources")
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # -S skips site, whose .pth files may import some of these first.
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = ("import sys, reslat.cli; "
+             f"print(' '.join(m for m in {HEAVY_AT_START!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []

@@ -22,13 +22,13 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from conftest import catalog5
 from gen import boolean, godel, luk
+from reslat.algebra import ResiduatedLattice
 from reslat.cli import main
 from reslat.io import NamedAlgebra, load_bundled, render_algebra, render_stream
 
@@ -61,7 +61,10 @@ def corrupted(alg, table, cells):
     rows = [list(row) for row in getattr(alg, table)]
     for x, y, v in cells:
         rows[x][y] = v
-    return replace(alg, **{table: tuple(map(tuple, rows))})
+    ops = {op: getattr(alg, op) for op in ("join", "meet", "prod", "impl")}
+    ops[table] = tuple(map(tuple, rows))
+    return ResiduatedLattice(names=alg.names, bottom=alg.bottom, top=alg.top,
+                             up=alg.up, down=alg.down, **ops)
 
 
 def broken_documents() -> str:
