@@ -18,14 +18,7 @@ from __future__ import annotations
 from .algebra import ResiduatedLattice, derived
 from .coann import coannulet, coannulet_lattice, double_coannihilator
 from .errors import InternalCheckError, PreconditionError
-from .filters import (
-    TAG_ALPHA,
-    TAG_PRIME_ALPHA,
-    FilterFamily,
-    all_filters,
-    generated_filter,
-    is_filter,
-)
+from .filters import all_filters, generated_filter, is_filter
 from .spectrum import _check_join_closed, is_prime, prime_filters
 from .subsets import contains, elements, singleton, sort_family
 from .views import LatticeView, build_view, view_filter_generated, view_filters
@@ -40,9 +33,8 @@ def is_alpha_filter(alg: ResiduatedLattice, mask: int) -> bool:
 
 
 @derived
-def alpha_family(alg: ResiduatedLattice) -> FilterFamily:
-    return FilterFamily(tuple(f for f in all_filters(alg)
-                              if is_alpha_filter(alg, f)), TAG_ALPHA)
+def alpha_family(alg: ResiduatedLattice) -> tuple[int, ...]:
+    return tuple(f for f in all_filters(alg) if is_alpha_filter(alg, f))
 
 
 def alpha_closure(alg: ResiduatedLattice, mask: int) -> int:
@@ -90,7 +82,7 @@ def alpha_join(alg: ResiduatedLattice, f: int, g: int) -> int:
 def alpha_lattice(alg: ResiduatedLattice) -> LatticeView:
     """The alpha filters as a lattice: meet is intersection, join is
     the closure of the union."""
-    return build_view("alpha-filters", alpha_family(alg).members,
+    return build_view("alpha-filters", alpha_family(alg),
                       lambda u, v: alpha_join(alg, u, v), lambda u, v: u & v)
 
 
@@ -101,7 +93,7 @@ def heyting_implication(alg: ResiduatedLattice, f_mask: int, g_mask: int) -> int
     candidates.
     """
     fam = alpha_family(alg)
-    if f_mask not in fam.members or g_mask not in fam.members:
+    if f_mask not in fam or g_mask not in fam:
         raise PreconditionError("heyting implication needs alpha filters")
     out = alpha_closure(alg, singleton(alg.top))
     for h in fam:
@@ -168,13 +160,13 @@ def is_prime_alpha(alg: ResiduatedLattice, mask: int) -> bool:
     required to agree: prime as an ordinary filter, prime element of
     the alpha lattice, meet irreducible there, and coannulet image
     prime in the coannulet lattice."""
-    if mask not in alpha_family(alg).members:
+    if mask not in alpha_family(alg):
         raise PreconditionError(f"not an alpha filter: {alg.subset_str(mask)}")
     if mask == alg.universe:
         return False
     fam = alpha_family(alg)
 
-    as_filter = bool(is_prime(alg, mask))
+    as_filter = is_prime(alg, mask)
 
     as_element = True
     for f in fam:
@@ -204,15 +196,14 @@ def is_prime_alpha(alg: ResiduatedLattice, mask: int) -> bool:
 
 
 @derived
-def prime_alpha_filters(alg: ResiduatedLattice) -> FilterFamily:
+def prime_alpha_filters(alg: ResiduatedLattice) -> tuple[int, ...]:
     members = tuple(f for f in alpha_family(alg)
                     if f != alg.universe and is_prime_alpha(alg, f))
-    both = sort_family(set(prime_filters(alg).members)
-                       & set(alpha_family(alg).members))
+    both = sort_family(set(prime_filters(alg)) & set(alpha_family(alg)))
     if members != both:
         raise InternalCheckError("prime alpha filters differ from the "
                                  "prime and alpha intersection")
-    return FilterFamily(members, TAG_PRIME_ALPHA)
+    return members
 
 
 def alpha_separate(alg: ResiduatedLattice, f_mask: int, c_mask: int) -> int:

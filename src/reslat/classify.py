@@ -52,17 +52,13 @@ DUAL_HOM = "dual lattice homomorphism"
 
 
 class MapReport(Record):
-    """One structure map: where it goes, what it preserves, how it sorts."""
+    """One structure map: what it preserves and how it sorts."""
 
-    _fields = ("name", "domain", "codomain", "kind", "injective",
-               "surjective", "pairs")
+    _fields = ("name", "kind", "injective", "surjective", "pairs")
 
-    def __init__(self, name: str, domain: str, codomain: str, kind: str,
-                 injective: bool, surjective: bool,
+    def __init__(self, name: str, kind: str, injective: bool, surjective: bool,
                  pairs: tuple[tuple[object, object], ...]):
         setfield(self, "name", name)
-        setfield(self, "domain", domain)
-        setfield(self, "codomain", codomain)
         setfield(self, "kind", kind)
         setfield(self, "injective", injective)
         setfield(self, "surjective", surjective)
@@ -83,7 +79,7 @@ def element_lattice(alg: ResiduatedLattice) -> LatticeView:
 def filter_lattice(alg: ResiduatedLattice) -> LatticeView:
     """All filters under inclusion: meet is intersection, join is the
     generated filter of the union."""
-    return build_view("filters", all_filters(alg).members,
+    return build_view("filters", all_filters(alg),
                       lambda f, g: filter_join(alg, f, g), lambda f, g: f & g)
 
 
@@ -116,8 +112,6 @@ def _map_report(name, domain, codomain, dual, images) -> MapReport:
         kind = f"not a {kind}"
     return MapReport(
         name=name,
-        domain=domain.name,
-        codomain=codomain.name,
         kind=kind,
         injective=len(set(pos)) == n,
         surjective=set(pos) == set(range(codomain.n)),
@@ -241,7 +235,7 @@ def _nilpotent_absorber(alg: ResiduatedLattice, x: int) -> bool:
 
 @derived
 def classification(alg: ResiduatedLattice) -> ClassificationResult:
-    filters = all_filters(alg).members
+    filters = all_filters(alg)
     routes: dict[str, tuple[tuple[str, bool], ...]] = {}
 
     routes["quasicomplemented"] = (

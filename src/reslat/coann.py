@@ -15,17 +15,10 @@ filters goes through the largest ideal inducing each operand.
 from __future__ import annotations
 
 from .algebra import ResiduatedLattice, derived
-from .errors import InternalCheckError, PreconditionError
-from .filters import (
-    TAG_COANNIHILATOR,
-    TAG_COANNULET,
-    TAG_OMEGA,
-    FilterFamily,
-    all_filters,
-    is_filter,
-)
+from .errors import PreconditionError
+from .filters import all_filters, is_filter
 from .subsets import contains, elements, singleton, sort_family
-from .views import LatticeView, build_view, is_distributive
+from .views import LatticeView, build_view
 
 
 def coannulet(alg: ResiduatedLattice, x: int) -> int:
@@ -65,12 +58,12 @@ def pseudocomplement_check(alg: ResiduatedLattice, f_mask: int) -> bool:
 
 
 @derived
-def coannulet_family(alg: ResiduatedLattice) -> FilterFamily:
-    return FilterFamily(sort_family(alg.coannulets), TAG_COANNULET)
+def coannulet_family(alg: ResiduatedLattice) -> tuple[int, ...]:
+    return sort_family(alg.coannulets)
 
 
 @derived
-def coannihilator_family(alg: ResiduatedLattice) -> FilterFamily:
+def coannihilator_family(alg: ResiduatedLattice) -> tuple[int, ...]:
     """All coannihilators: the coannulets.
 
     Every coannihilator is an intersection of coannulets, and the
@@ -78,7 +71,7 @@ def coannihilator_family(alg: ResiduatedLattice) -> FilterFamily:
     coann(x * y), with the empty intersection, the universe, being
     coann(top).
     """
-    return FilterFamily(coannulet_family(alg).members, TAG_COANNIHILATOR)
+    return coannulet_family(alg)
 
 
 @derived
@@ -100,7 +93,7 @@ def coannulet_lattice(alg: ResiduatedLattice) -> LatticeView:
     def mt(u, v):
         return u & v
 
-    return build_view("coannulets", fam.members, jn, mt)
+    return build_view("coannulets", fam, jn, mt)
 
 
 @derived
@@ -115,7 +108,7 @@ def coannihilator_lattice(alg: ResiduatedLattice) -> LatticeView:
     def mt(u, v):
         return u & v
 
-    return build_view("coannihilators", fam.members, jn, mt)
+    return build_view("coannihilators", fam, jn, mt)
 
 
 # -- lattice ideals and omega filters --------------------------------------
@@ -180,9 +173,8 @@ def omega_filter(alg: ResiduatedLattice, ideal_mask: int) -> int:
 
 
 @derived
-def omega_family(alg: ResiduatedLattice) -> FilterFamily:
-    return FilterFamily(sort_family(omega_filter(alg, i) for i in all_ideals(alg)),
-                        TAG_OMEGA)
+def omega_family(alg: ResiduatedLattice) -> tuple[int, ...]:
+    return sort_family(omega_filter(alg, i) for i in all_ideals(alg))
 
 
 @derived
@@ -202,7 +194,7 @@ def canonical_ideal_of(alg: ResiduatedLattice, f_mask: int) -> int:
 def omega_filter_lattice(alg: ResiduatedLattice) -> LatticeView:
     """Omega filters: meet is intersection, join through canonical ideals.
 
-    The lattice must come out bounded and distributive.
+    That this lattice is distributive is a statement of the suite.
     """
     fam = omega_family(alg)
 
@@ -213,10 +205,7 @@ def omega_filter_lattice(alg: ResiduatedLattice) -> LatticeView:
     def mt(u, v):
         return u & v
 
-    view = build_view("omega-filters", fam.members, jn, mt)
-    if not is_distributive(view):
-        raise InternalCheckError("omega filter lattice is not distributive")
-    return view
+    return build_view("omega-filters", fam, jn, mt)
 
 
 def proper_omega_no_dense_check(alg: ResiduatedLattice) -> bool:

@@ -1,9 +1,9 @@
 """Filters of a finite residuated lattice as bit-vector subsets.
 
 A filter is a nonempty subset closed under prod and absorbing under
-join, hence an up-set.  Filter families carry a provenance tag and keep
-the canonical order from subsets.sort_family, so every listing of the
-same family renders identically.
+join, hence an up-set.  A family of filters is a plain tuple of masks
+in the canonical order from subsets.sort_family, so every listing of
+the same family renders identically.
 
 Generated filters come with closed forms: the filter a subset generates
 is everything above the idempotent power of the product of its members,
@@ -15,40 +15,7 @@ from __future__ import annotations
 
 from .algebra import ResiduatedLattice, derived
 from .errors import PreconditionError
-from .record import Record, setfield
 from .subsets import elements, singleton, sort_family
-
-TAG_ALL = "ALL"
-TAG_PRIME = "PRIME"
-TAG_MAX = "MAX"
-TAG_MIN = "MIN"
-TAG_ALPHA = "ALPHA"
-TAG_PRIME_ALPHA = "PRIME_ALPHA"
-TAG_COANNULET = "COANNULET"
-TAG_COANNIHILATOR = "COANNIHILATOR"
-TAG_OMEGA = "OMEGA"
-
-
-class FilterFamily(Record):
-    """A canonical-ordered tuple of filter masks with a provenance tag."""
-
-    _fields = ("members", "tag")
-
-    def __init__(self, members: tuple[int, ...], tag: str):
-        setfield(self, "members", members)
-        setfield(self, "tag", tag)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, mask: int) -> bool:
-        return mask in self.members
-
-    def index(self, mask: int) -> int:
-        return self.members.index(mask)
 
 
 @derived
@@ -96,11 +63,10 @@ def extend_filter(alg: ResiduatedLattice, f_mask: int, x: int) -> int:
 
 
 @derived
-def all_filters(alg: ResiduatedLattice) -> FilterFamily:
+def all_filters(alg: ResiduatedLattice) -> tuple[int, ...]:
     """Every filter: on a finite carrier each one is principal, so the
     principal filters of single elements are all of them."""
-    principal = {principal_filter(alg, x) for x in range(alg.n)}
-    return FilterFamily(sort_family(principal), TAG_ALL)
+    return sort_family({principal_filter(alg, x) for x in range(alg.n)})
 
 
 def proper_filters(alg: ResiduatedLattice) -> tuple[int, ...]:

@@ -11,41 +11,21 @@ same subset of points always prints the same way.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from .algebra import ResiduatedLattice, derived
 from .errors import PreconditionError
-from .filters import (
-    TAG_MAX,
-    TAG_MIN,
-    TAG_PRIME,
-    FilterFamily,
-    all_filters,
-    extend_filter,
-    is_filter,
-)
+from .filters import all_filters, extend_filter, is_filter
 from .record import Record, setfield
 from .subsets import contains, elements, full_set, singleton, sort_family
 
 
-class PrimeWitness(Record):
-    """Result of a primality check; falsy with the failing pair attached."""
-
-    _fields = ("mask", "failure")
-
-    def __init__(self, mask: int, failure: tuple[int, int] | None):
-        setfield(self, "mask", mask)
-        setfield(self, "failure", failure)
-
-    def __bool__(self) -> bool:
-        return self.failure is None
-
-
 @derived
-def is_prime(alg: ResiduatedLattice, mask: int) -> PrimeWitness:
-    """Primality of a proper filter, with a witness pair on failure.
+def is_prime(alg: ResiduatedLattice, mask: int) -> bool:
+    """Primality of a proper filter.
 
-    The witness is the first pair (x, y) in row-major order with x v y
-    in the filter and neither x nor y in it, so only the elements
-    outside the filter are scanned.
+    The filter fails as soon as some x v y lies in it with neither x
+    nor y in it, so only the elements outside the filter are scanned.
     """
     if not is_filter(alg, mask):
         raise PreconditionError(f"not a filter: {alg.subset_str(mask)}")
@@ -56,29 +36,28 @@ def is_prime(alg: ResiduatedLattice, mask: int) -> PrimeWitness:
         row = alg.join[x]
         for y in outside:
             if mask >> row[y] & 1:
-                return PrimeWitness(mask, (x, y))
-    return PrimeWitness(mask, None)
+                return False
+    return True
 
 
 @derived
-def prime_filters(alg: ResiduatedLattice) -> FilterFamily:
-    members = [f for f in all_filters(alg)
-               if f != alg.universe and is_prime(alg, f)]
-    return FilterFamily(sort_family(members), TAG_PRIME)
+def prime_filters(alg: ResiduatedLattice) -> tuple[int, ...]:
+    return sort_family(f for f in all_filters(alg)
+                       if f != alg.universe and is_prime(alg, f))
 
 
 @derived
-def maximal_filters(alg: ResiduatedLattice) -> FilterFamily:
+def maximal_filters(alg: ResiduatedLattice) -> tuple[int, ...]:
     props = [f for f in all_filters(alg) if f != alg.universe]
-    members = [f for f in props if not any(f != g and f & g == f for g in props)]
-    return FilterFamily(sort_family(members), TAG_MAX)
+    return sort_family(f for f in props
+                       if not any(f != g and f & g == f for g in props))
 
 
 @derived
-def minimal_primes(alg: ResiduatedLattice) -> FilterFamily:
-    ps = prime_filters(alg).members
-    members = [p for p in ps if not any(q != p and q & p == q for q in ps)]
-    return FilterFamily(sort_family(members), TAG_MIN)
+def minimal_primes(alg: ResiduatedLattice) -> tuple[int, ...]:
+    ps = prime_filters(alg)
+    return sort_family(p for p in ps
+                       if not any(q != p and q & p == q for q in ps))
 
 
 @derived
@@ -187,7 +166,7 @@ def prime_core(alg: ResiduatedLattice, p_mask: int) -> int:
 
 def hull(alg: ResiduatedLattice, x_mask: int) -> int:
     """Points (minimal primes, canonical order) containing the subset."""
-    pts = minimal_primes(alg).members
+    pts = minimal_primes(alg)
     out = 0
     for i, m in enumerate(pts):
         if m & x_mask == x_mask:
@@ -201,7 +180,7 @@ def cohull(alg: ResiduatedLattice, x_mask: int) -> int:
 
 def kernel_filter(alg: ResiduatedLattice, points: int) -> int:
     """Intersection of the selected points; the whole carrier for none."""
-    pts = minimal_primes(alg).members
+    pts = minimal_primes(alg)
     out = alg.universe
     for i in elements(points):
         out &= pts[i]
@@ -209,15 +188,13 @@ def kernel_filter(alg: ResiduatedLattice, points: int) -> int:
 
 
 class Topology(Record):
-    """Opens over the minimal-prime points, with the generating basis."""
+    """Opens over the minimal-prime points."""
 
-    _fields = ("points", "opens", "basis")
+    _fields = ("points", "opens")
 
-    def __init__(self, points: FilterFamily, opens: tuple[int, ...],
-                 basis: tuple[int, ...]):
+    def __init__(self, points: tuple[int, ...], opens: tuple[int, ...]):
         setfield(self, "points", points)
         setfield(self, "opens", opens)
-        setfield(self, "basis", basis)
 
     @property
     def space(self) -> int:
@@ -227,20 +204,21 @@ class Topology(Record):
         return s in self.opens and (self.space & ~s) in self.opens
 
 
-def _from_open_basis(points: FilterFamily, basis: tuple[int, ...]) -> Topology:
-    space = full_set(len(points))
-    opens = {0, space}
-    opens.update(basis)
+def _union_meet_closure(space: int, family: Iterable[int]) -> set[int]:
+    """The family with 0 and the space, closed under union and
+    intersection."""
+    out = {0, space}
+    out.update(family)
     changed = True
     while changed:
         changed = False
-        for u in tuple(opens):
-            for v in tuple(opens):
+        for u in tuple(out):
+            for v in tuple(out):
                 for w in (u | v, u & v):
-                    if w not in opens:
-                        opens.add(w)
+                    if w not in out:
+                        out.add(w)
                         changed = True
-    return Topology(points, sort_family(opens), sort_family(basis))
+    return out
 
 
 @derived
@@ -248,30 +226,18 @@ def hull_topology(alg: ResiduatedLattice) -> Topology:
     """Topology with the hulls of single elements as a closed basis."""
     pts = minimal_primes(alg)
     space = full_set(len(pts))
-    closed_basis = {hull(alg, singleton(x)) for x in range(alg.n)}
     # closed sets: all intersections of finite unions of basis members
-    closed = {space, 0}
-    closed.update(closed_basis)
-    changed = True
-    while changed:
-        changed = False
-        for u in tuple(closed):
-            for v in tuple(closed):
-                for w in (u | v, u & v):
-                    if w not in closed:
-                        closed.add(w)
-                        changed = True
-    opens = {space & ~c for c in closed}
-    open_basis = sort_family(space & ~h for h in closed_basis)
-    return Topology(pts, sort_family(opens), open_basis)
+    closed = _union_meet_closure(space, (hull(alg, singleton(x)) for x in range(alg.n)))
+    return Topology(pts, sort_family(space & ~c for c in closed))
 
 
 @derived
 def dual_hull_topology(alg: ResiduatedLattice) -> Topology:
     """Topology with the same hulls taken as an open basis."""
     pts = minimal_primes(alg)
-    basis = sort_family(hull(alg, singleton(x)) for x in range(alg.n))
-    return _from_open_basis(pts, basis)
+    opens = _union_meet_closure(full_set(len(pts)),
+                                (hull(alg, singleton(x)) for x in range(alg.n)))
+    return Topology(pts, sort_family(opens))
 
 
 def topologies_equal(alg: ResiduatedLattice) -> bool:

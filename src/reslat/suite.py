@@ -84,6 +84,7 @@ from .spectrum import (
 from .subsets import contains, elements, full_set, singleton
 from .views import (
     is_boolean,
+    is_distributive,
     is_sublattice,
     kernel_partition,
     kernel_transports,
@@ -237,7 +238,7 @@ def _center_structure(alg):
 # -- section: filters and primes -------------------------------------------
 
 def _filters_closure_system(alg):
-    fam = set(all_filters(alg).members)
+    fam = set(all_filters(alg))
     def gen():
         for f in fam:
             for g in fam:
@@ -256,7 +257,7 @@ def _filters_closure_system(alg):
 
 
 def _filter_lattice_frame(alg):
-    members = all_filters(alg).members
+    members = all_filters(alg)
     def gen():
         yield lambda: "bottom is the top singleton", members[0] == singleton(alg.top)
         yield lambda: "top is the whole carrier", members[-1] == alg.universe
@@ -301,7 +302,7 @@ def _filter_extension_law(alg):
 
 
 def _prime_pair_laws(alg):
-    fam = all_filters(alg).members
+    fam = all_filters(alg)
     def gen():
         for p in proper_filters(alg):
             elementwise = all(contains(p, x) or contains(p, y)
@@ -312,14 +313,14 @@ def _prime_pair_laws(alg):
             yield (lambda: f"pair laws at {alg.subset_str(p)}",
                    elementwise == filterwise)
             yield (lambda: f"declared verdict at {alg.subset_str(p)}",
-                   elementwise == bool(is_prime(alg, p)))
+                   elementwise == is_prime(alg, p))
     return _law(gen())
 
 
 def _maximal_implies_prime(alg):
     def gen():
         for m in maximal_filters(alg):
-            yield lambda: f"{alg.subset_str(m)} prime", bool(is_prime(alg, m))
+            yield lambda: f"{alg.subset_str(m)} prime", is_prime(alg, m)
             yield (lambda: f"{alg.subset_str(m)} maximal among proper filters",
                    all(not (m & ~f == 0 and f != m) for f in proper_filters(alg)))
     return _law(gen())
@@ -334,12 +335,12 @@ def _prime_separation(alg):
                 p = separate(alg, f, c)
                 yield (lambda: f"separating {alg.subset_str(f)} from "
                                f"{alg.subset_str(c)}",
-                       bool(is_prime(alg, p)) and f & ~p == 0 and p & c == 0)
+                       is_prime(alg, p) and f & ~p == 0 and p & c == 0)
     return _law(gen())
 
 
 def _primes_reach_bottom(alg):
-    mins = minimal_primes(alg).members
+    mins = minimal_primes(alg)
     def gen():
         for p in prime_filters(alg):
             yield (lambda: f"{alg.subset_str(p)} contains a minimal prime",
@@ -355,7 +356,7 @@ def _primes_reach_bottom(alg):
 def _minimal_prime_complement_law(alg):
     def gen():
         for p in prime_filters(alg):
-            listed = p in minimal_primes(alg).members
+            listed = p in minimal_primes(alg)
             route = is_minimal_prime(alg, p)
             perp_route = all(coannulet(alg, x) & ~p for x in elements(p))
             yield (lambda: f"complement route at {alg.subset_str(p)}", route == listed)
@@ -504,9 +505,9 @@ def _omega_filter_construction(alg):
                    omega_filter(alg, alg.down[x]) == coannulet(alg, x))
         view = omega_filter_lattice(alg)
         yield lambda: "omega filters form a bounded distributive lattice", \
-            view.keys == omega_family(alg).members
+            is_distributive(view)
         yield lambda: "omega filters coincide with the coannulets here", \
-            omega_family(alg).members == coannulet_family(alg).members
+            omega_family(alg) == coannulet_family(alg)
     return _law(gen())
 
 
@@ -667,7 +668,7 @@ def _alpha_closure_laws(alg):
             yield (lambda: f"idempotent at {alg.subset_str(mask)}",
                    alpha_closure(alg, c) == c)
             yield (lambda: f"closure of {alg.subset_str(mask)} lands in the family",
-                   c in fam.members)
+                   c in fam)
             sub = mask & (mask - 1)
             yield (lambda: f"monotone below {alg.subset_str(mask)}",
                    alpha_closure(alg, sub) & ~c == 0)
@@ -679,20 +680,20 @@ def _alpha_closure_laws(alg):
                        alpha_closure(alg, f) & alpha_closure(alg, g))
         for u in coannihilator_family(alg):
             yield (lambda: f"coannihilator {alg.subset_str(u)} is closed",
-                   u in fam.members)
+                   u in fam)
     return _law(gen())
 
 
 def _alpha_frame_structure(alg):
     fam = alpha_family(alg)
     def gen():
-        yield lambda: "family is a frame", frame_check(fam.members)
+        yield lambda: "family is a frame", frame_check(fam)
         yield (lambda: "lattice of closed filters builds",
                alpha_lattice(alg).n == len(fam))
         for f in fam:
             for g in fam:
                 yield (lambda: f"intersection closed at ({alg.subset_str(f)}, "
-                       f"{alg.subset_str(g)})", f & g in fam.members)
+                       f"{alg.subset_str(g)})", f & g in fam)
                 h = heyting_implication(alg, f, g)
                 for cand in fam:
                     yield (lambda: f"implication adjunction at ({alg.subset_str(f)}, "
@@ -733,7 +734,7 @@ def _prime_alpha_four_way(alg):
                 continue
             verdict = is_prime_alpha(alg, f)
             yield (lambda: f"four routes agree at {alg.subset_str(f)}",
-                   verdict == (f in primes.members))
+                   verdict == (f in primes))
             inter = alg.universe
             for p in primes:
                 if f & ~p == 0:
@@ -747,14 +748,14 @@ def _prime_alpha_four_way(alg):
                 p = alpha_separate(alg, q, c)
                 yield (lambda: f"separation of {alg.subset_str(q)} from "
                        f"{alg.subset_str(c)} lands on a prime",
-                       p in primes.members and p & c == 0 and q & ~p == 0)
+                       p in primes and p & c == 0 and q & ~p == 0)
     return _law(gen())
 
 
 def _prime_alpha_are_minimal(alg):
     return _equiv((
         ("prime closed filters are the minimal primes",
-         prime_alpha_filters(alg).members == minimal_primes(alg).members),
+         prime_alpha_filters(alg) == minimal_primes(alg)),
         ("every minimal prime is closed",
          all(is_alpha_filter(alg, m) for m in minimal_primes(alg))),
     ))

@@ -173,10 +173,9 @@ def is_sublattice(sub: LatticeView, sup: LatticeView) -> bool:
 class Congruence(Record):
     """A partition of a view's nodes compatible with both operations."""
 
-    _fields = ("view_name", "classes")
+    _fields = ("classes",)
 
-    def __init__(self, view_name: str, classes: tuple[tuple[int, ...], ...]):
-        setfield(self, "view_name", view_name)
+    def __init__(self, classes: tuple[tuple[int, ...], ...]):
         setfield(self, "classes", classes)
 
     def class_of(self, i: int) -> tuple[int, ...]:
@@ -194,7 +193,7 @@ def kernel_partition(view: LatticeView, images: Sequence[Hashable]) -> Congruenc
     for i, img in enumerate(images):
         groups.setdefault(img, []).append(i)
     classes = tuple(sorted((tuple(sorted(g)) for g in groups.values())))
-    return Congruence(view.name, classes)
+    return Congruence(classes)
 
 
 def is_congruence(view: LatticeView, cong: Congruence) -> bool:

@@ -37,7 +37,7 @@ def test_a7_alpha_verdicts(a7):
 
 
 def test_a7_alpha_family_frozen(a7):
-    assert alpha_family(a7).members == (
+    assert alpha_family(a7) == (
         mask_of(a7, "1"), mask_of(a7, "e", "1"),
         mask_of(a7, "b", "d", "1"), a7.universe)
 
@@ -105,12 +105,12 @@ def test_closure_laws_everywhere(key):
     for f in fam:
         for g in fam:
             assert alpha_closure(alg, f & g) == f & g
-            assert alpha_join(alg, f, g) in fam.members
+            assert alpha_join(alg, f, g) in fam
 
 
 def test_a7_alpha_lattice_boolean(a7):
     view = alpha_lattice(a7)
-    assert view.keys == alpha_family(a7).members
+    assert view.keys == alpha_family(a7)
     assert is_boolean(view)
     assert view.n == 4
 
@@ -138,7 +138,7 @@ def test_a7_transfer_examples(a7):
 def test_a7_prime_alpha(a7):
     f2 = mask_of(a7, "b", "d", "1")
     f3 = mask_of(a7, "e", "1")
-    assert prime_alpha_filters(a7).members == (f3, f2)
+    assert prime_alpha_filters(a7) == (f3, f2)
     assert is_prime_alpha(a7, f2)
     assert not is_prime_alpha(a7, mask_of(a7, "1"))
     assert not is_prime_alpha(a7, a7.universe)
@@ -174,7 +174,7 @@ def test_every_alpha_filter_meets_its_primes(key):
 
 
 def test_chain3_alpha_landscape(chain3, chain3n):
-    assert alpha_family(chain3).members == (mask_of(chain3, "1"), chain3.universe)
+    assert alpha_family(chain3) == (mask_of(chain3, "1"), chain3.universe)
     assert not is_alpha_filter(chain3, mask_of(chain3, "m", "1"))
-    assert alpha_family(chain3n).members == (mask_of(chain3n, "1"), chain3n.universe)
-    assert set(all_filters(chain3n).members) == {mask_of(chain3n, "1"), chain3n.universe}
+    assert alpha_family(chain3n) == (mask_of(chain3n, "1"), chain3n.universe)
+    assert set(all_filters(chain3n)) == {mask_of(chain3n, "1"), chain3n.universe}

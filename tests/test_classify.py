@@ -146,8 +146,6 @@ def test_a7_coannulet_map_pairs(a7):
     expected = (trivial, trivial, mask_of(a7, "e", "1"), trivial,
                 mask_of(a7, "e", "1"), mask_of(a7, "b", "d", "1"), a7.universe)
     assert rep.pairs == tuple(zip(range(a7.n), expected))
-    assert rep.domain == "elements"
-    assert rep.codomain == "coannulets"
 
 
 def test_a7_element_kernels(a7):

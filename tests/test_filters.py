@@ -29,9 +29,7 @@ def test_a7_filter_membership(a7):
 
 
 def test_a7_all_filters_frozen(a7):
-    fam = all_filters(a7)
-    assert fam.tag == "ALL"
-    assert fam.members == (
+    assert all_filters(a7) == (
         mask_of(a7, "1"),
         mask_of(a7, "e", "1"),
         mask_of(a7, "b", "d", "1"),
@@ -85,7 +83,7 @@ def test_principal_filters_cover_all(bundled):
 
 def test_frame_check_on_filter_families(bundled):
     for alg in bundled.values():
-        assert frame_check(all_filters(alg).members)
+        assert frame_check(all_filters(alg))
 
 
 def test_frame_check_rejects_diamond_family():
@@ -99,7 +97,7 @@ def test_frame_check_matches_subfamily_definition(bundled):
     pentagon = (0, 0b001, 0b011, 0b100, 0b111)
     families = [diamond, pentagon]
     for alg in bundled.values():
-        families += [all_filters(alg).members, alpha_family(alg).members]
+        families += [all_filters(alg), alpha_family(alg)]
     verdicts = [frame_check(fam) for fam in families]
     assert verdicts == [bf.is_frame(fam) for fam in families]
     assert verdicts[:2] == [False, False]
@@ -129,7 +127,7 @@ def test_extension_monotone_and_antitone(data):
     key = data.draw(st.sampled_from(sorted(tb.ALL_TABLES)))
     alg = build(tb.ALL_TABLES[key])
     fam = all_filters(alg)
-    f = data.draw(st.sampled_from(fam.members))
+    f = data.draw(st.sampled_from(fam))
     x = data.draw(st.integers(min_value=0, max_value=alg.n - 1))
     y = data.draw(st.integers(min_value=0, max_value=alg.n - 1))
     ext = extend_filter(alg, f, x)

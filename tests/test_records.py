@@ -12,10 +12,8 @@ import pytest
 import tables as tb
 from conftest import build
 from reslat import validate
-from reslat.filters import FilterFamily, all_filters
+from reslat.filters import all_filters
 from reslat.search import ZERO_STATS, SearchStats
-from reslat.spectrum import PrimeWitness, is_prime
-from reslat.subsets import singleton
 from reslat.views import view_filters, view_from_tables
 
 
@@ -58,10 +56,8 @@ def test_equal_views_compare_and_hash_alike():
 @pytest.mark.parametrize("make, field", [
     (lambda: build(tb.A7), "top"),
     (lambda: _chain_view("c3"), "name"),
-    (lambda: FilterFamily((1, 3), "T"), "members"),
-    (lambda: PrimeWitness(3, None), "failure"),
     (lambda: SearchStats(1, 2, 3, 4, 5), "found"),
-], ids=["algebra", "view", "family", "witness", "stats"])
+], ids=["algebra", "view", "stats"])
 def test_fields_cannot_be_reassigned(make, field):
     rec = make()
     before = getattr(rec, field)
@@ -78,29 +74,6 @@ def test_search_stats_add():
     assert a + b == SearchStats(11, 22, 33, 44, 55)
     assert ZERO_STATS + a == a == a + ZERO_STATS
     assert (a.examined, a.pruned, a.found, a.emitted, a.iso_rejected) == (1, 2, 3, 4, 5)
-
-
-def test_prime_witness_truth(bool4):
-    assert PrimeWitness(3, None)
-    assert not PrimeWitness(3, (1, 2))
-    # In the four-element Boolean algebra the filter {top} is not prime:
-    # the two atoms join to top and neither is in it.
-    w = is_prime(bool4, singleton(bool4.top))
-    assert not w and w.failure is not None
-    x, y = w.failure
-    assert bool4.join[x][y] == bool4.top
-    assert is_prime(bool4, bool4.up[x]).failure is None
-
-
-def test_filter_family_iterates_as_its_members(a7):
-    fam = FilterFamily((1, 3, 7), "T")
-    assert list(fam) == [1, 3, 7]
-    assert len(fam) == 3
-    assert 3 in fam and 2 not in fam
-    assert fam.index(7) == 2
-    assert fam == FilterFamily((1, 3, 7), "T") != FilterFamily((1, 3, 7), "U")
-    fams = all_filters(a7)
-    assert tuple(fams) == fams.members and len(fams) == len(fams.members)
 
 
 def test_derived_and_cached_property_memoise():

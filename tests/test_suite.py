@@ -111,3 +111,13 @@ def test_failing_law_describes_the_failing_instance(a7, monkeypatch, ident, name
     (report,) = verify_suite(a7, (ident,))
     assert (report.passed, report.sides) == (False, (("holds", False),))
     assert report.witness == witness
+
+
+def test_omega_construction_states_distributivity(a7, monkeypatch):
+    """The suite itself decides whether the omega filters form a
+    distributive lattice, and names that instance when they do not."""
+    monkeypatch.setattr(suite, "is_distributive", lambda view: False)
+    (report,) = verify_suite(a7, idents=("omega-filter-construction",))
+    assert (report.passed, report.sides) == (False, (("holds", False),))
+    assert report.witness == \
+        "fails at omega filters form a bounded distributive lattice"
