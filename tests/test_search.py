@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from reslat import PreconditionError
 from reslat.algebra import check_tables, validate
 from reslat.classify import classification
 from reslat.search import (
+    ATOMS,
     MAX_CARRIER,
     LatticeSkeleton,
     _Fill,
@@ -38,6 +40,26 @@ def test_seven_element_lattice_count():
 def test_eight_element_lattice_count():
     # OEIS A006966: bounded lattices on eight elements
     assert len(enumerate_lattices(8)) == 222
+
+
+# sha256 of repr([(n, join, meet), ...]) over enumerate_lattices(n): the
+# skeletons, their order and every table of them.  The CI step "Search
+# through carrier 8" pins n = 8 the same way.
+SKELETON_DIGESTS = {
+    1: "aa63ef21015e823f672d8fceaef3ea7e86f0e9ed077991e1cae016b81ef8a08d",
+    2: "0fa450d8c17b75df753dd39f95dd25a2908d8ebc09a7e94f4c941645328b6562",
+    3: "a5c2456adc49dcc55069f0d15213ef1276a282e0649d01cc376cf72aee03524c",
+    4: "d088ca33b89bfca50bea03066e0797607ccdc077e80a7977d87d7dfe42839717",
+    5: "c22c132587fef7522f5b5b7e47ec1fe6fa3bf0f6928cd6a8f7a593e3065685ff",
+    6: "cb6f62715aa8b6a453016459a9586d477f663ecb52f921dce9143703fe87afe0",
+    7: "e928d4189c2348be4cfcceed77bd8709c539142df426c144e0ad1a8be68aea4c",
+}
+
+
+@pytest.mark.parametrize("n", sorted(SKELETON_DIGESTS))
+def test_skeleton_digest_frozen(n):
+    rows = [(sk.n, sk.join, sk.meet) for sk in enumerate_lattices(n)]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SKELETON_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -232,6 +254,24 @@ def test_predicate_parser_semantics(a7, bool4):
     assert not parse_predicate("(true or true) and false")(r7)
     assert parse_predicate("not (true and false)")(r7)
     assert not parse_predicate("not true and false")(r7)
+
+
+@pytest.fixture(scope="module")
+def classified6():
+    algebras = mine("true", 6).matches
+    return algebras, [classification(alg) for alg in algebras]
+
+
+@pytest.mark.parametrize("negate", [False, True])
+@pytest.mark.parametrize("atom", sorted(ATOMS))
+def test_atom_matches_the_classification(classified6, atom, negate):
+    # "true" and "false" are no verdicts of the classification, so the
+    # getattr default gives their constant value.
+    algebras, verdicts = classified6
+    want = tuple(alg for alg, res in zip(algebras, verdicts)
+                 if getattr(res, atom, atom == "true") != negate)
+    src = f"not {atom}" if negate else atom
+    assert mine(src, 6).matches == want
 
 
 def test_predicate_parser_errors():
