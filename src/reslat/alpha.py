@@ -19,8 +19,8 @@ from .algebra import ResiduatedLattice, derived
 from .coann import coannulet, coannulet_lattice, double_coannihilator
 from .errors import InternalCheckError, PreconditionError
 from .filters import all_filters, generated_filter, is_filter
-from .spectrum import _check_join_closed, is_prime, prime_filters
-from .subsets import contains, elements, singleton, sort_family
+from .spectrum import _check_join_closed, is_prime
+from .subsets import contains, elements, singleton
 from .views import LatticeView, build_view, view_filter_generated, view_filters
 
 
@@ -197,13 +197,8 @@ def is_prime_alpha(alg: ResiduatedLattice, mask: int) -> bool:
 
 @derived
 def prime_alpha_filters(alg: ResiduatedLattice) -> tuple[int, ...]:
-    members = tuple(f for f in alpha_family(alg)
-                    if f != alg.universe and is_prime_alpha(alg, f))
-    both = sort_family(set(prime_filters(alg)) & set(alpha_family(alg)))
-    if members != both:
-        raise InternalCheckError("prime alpha filters differ from the "
-                                 "prime and alpha intersection")
-    return members
+    return tuple(f for f in alpha_family(alg)
+                 if f != alg.universe and is_prime_alpha(alg, f))
 
 
 def alpha_separate(alg: ResiduatedLattice, f_mask: int, c_mask: int) -> int:

@@ -462,7 +462,10 @@ def _cmd_search(args) -> int:
     rep.line(f"search through carriers of at most {args.max_size} elements")
     rep.line(f"predicate: {args.predicate}")
     per_size = []
+    # The matching algebras are kept only for --render, and each size's
+    # result is let go before the next size is mined.
     matches = []
+    matching = 0
     lattices = 0
     stats = ZERO_STATS
     for n in range(1, args.max_size + 1):
@@ -476,18 +479,21 @@ def _cmd_search(args) -> int:
         rep.line(f"  size {n}: {_count(res.lattices, 'lattice')}, "
                  f"{_count(res.stats.emitted, 'algebra')}, "
                  f"{len(res.matches)} matching")
-        matches.extend(res.matches)
+        if args.render:
+            matches.extend(res.matches)
+        matching += len(res.matches)
         lattices += res.lattices
         stats = stats + res.stats
+        del res
     rep.line(f"total: {_count(lattices, 'lattice')}, "
-             f"{_count(stats.emitted, 'algebra')}, {len(matches)} matching")
+             f"{_count(stats.emitted, 'algebra')}, {matching} matching")
     rep.line(f"tables examined {stats.examined}, branches pruned "
              f"{stats.pruned}, duplicates dropped {stats.iso_rejected}")
     rep.set("max_size", args.max_size)
     rep.set("predicate", args.predicate)
     rep.set("per_size", per_size)
     rep.set("totals", {"lattices": lattices, "algebras": stats.emitted,
-                       "matching": len(matches)})
+                       "matching": matching})
     rep.set("stats", {"examined": stats.examined, "pruned": stats.pruned,
                       "found": stats.found, "emitted": stats.emitted,
                       "iso_rejected": stats.iso_rejected})

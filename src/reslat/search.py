@@ -8,6 +8,9 @@ a linear extension, so it suffices to try orders in which x <= y
 implies x < y as integers.  Each lattice found is keyed by the least of
 its relabellings under all permutations of the middle elements, so the
 key set, and the sorted result, is the same as from trying every order.
+Relabellings work on tables flattened row-major into bytes: one
+precomputed gather of cell positions and one byte translation per
+permutation, and byte order is the order of the tables' rows.
 
 The product walk cuts candidates with order facts every valid table
 obeys: a product never exceeds the meet, and is monotone in both
@@ -19,18 +22,29 @@ it lies in that interval.  Cells are filled row by row, and as each row
 completes the walk checks that the row has a residual and that
 associativity holds on every triple whose largest member is that row,
 so every table it completes is valid.  The stats record how much work
-the walk spent.  A predicate language over the classification verdicts
-turns the walk into a counterexample miner.
+the walk spent.  A predicate language over the class verdicts turns the
+walk into a counterexample miner.  A predicate computes only the
+verdicts it reads, each by one route (the verdict functions of
+``classify``); ``classify.classification`` runs every route of every
+verdict and checks that they agree.
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import chain, permutations, product
+from operator import itemgetter
 
 from .algebra import ResiduatedLattice
-from .classify import classification
+from .classify import (
+    ClassificationResult,
+    disjunctive,
+    filter_lattice_boolean,
+    lattice_boolean,
+    quasicomplemented,
+    weakly_disjunctive,
+)
 from .errors import PreconditionError
 from .record import Record, setfield
 
@@ -104,43 +118,45 @@ def names_for(n: int) -> tuple[str, ...]:
 # -- bounded lattices up to isomorphism ------------------------------------
 
 def _tables_from_cover(n: int, up: list[int], down: list[int]):
-    """join/meet tables from up-set masks, or None when not a lattice."""
-    join = [[0] * n for _ in range(n)]
-    meet = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            ub = up[x] & up[y]
-            z = next((z for z in range(n) if ub >> z & 1 and ub & ~up[z] == 0),
-                     None)
-            if z is None:
-                return None
-            join[x][y] = z
-            lb = down[x] & down[y]
-            w = next((w for w in range(n) if lb >> w & 1 and lb & ~down[w] == 0),
-                     None)
-            if w is None:
-                return None
-            meet[x][y] = w
-    return tuple(map(tuple, join)), tuple(map(tuple, meet))
+    """join/meet tables from up-set masks, or None when not a lattice.
+
+    The upper bounds of x and y form the up-set up[x] & up[y], and x | y
+    is the element whose up-set that is; meets likewise from down-sets.
+    """
+    least = {mask: z for z, mask in enumerate(up)}
+    greatest = {mask: w for w, mask in enumerate(down)}
+    join = tuple(tuple(least.get(ux & uy) for uy in up) for ux in up)
+    meet = tuple(tuple(greatest.get(dx & dy) for dy in down) for dx in down)
+    if any(None in row for row in join) or any(None in row for row in meet):
+        return None
+    return join, meet
 
 
-def _relabel(table, perm):
-    """The table of the relabeled structure under old-to-new map perm."""
-    inv = [0] * len(perm)
-    for old, new in enumerate(perm):
-        inv[new] = old
-    return tuple(tuple(perm[table[a][b]] for b in inv) for a in inv)
+@lru_cache(maxsize=None)
+def _relabellers(n: int):
+    """(perm, gather, tr) for each carrier permutation fixing bottom and
+    top (all a lattice isomorphism can do), the identity first, with perm
+    an old-to-new map: for a table flattened row-major into bytes,
+    bytes(gather(flat)).translate(tr) is the flat table of the structure
+    relabelled by perm.  Row-major bytes sort as the tables' rows do."""
+    out = []
+    for middle in permutations(range(1, n - 1)):
+        perm = (0, *middle, n - 1)
+        inv = [0] * n
+        for old, new in enumerate(perm):
+            inv[new] = old
+        gather = itemgetter(*(inv[a] * n + inv[b]
+                              for a in range(n) for b in range(n)))
+        out.append((perm, gather, bytes(perm) + bytes(256 - n)))
+    return tuple(out)
 
 
-def _middle_perms(n: int):
-    """Carrier permutations fixing bottom and top (all a lattice
-    isomorphism can do)."""
-    for pm in permutations(range(1, n - 1)):
-        perm = [0] * n
-        perm[n - 1] = n - 1
-        for i, v in enumerate(pm):
-            perm[1 + i] = v
-        yield tuple(perm)
+def _flat(table) -> bytes:
+    return bytes(chain.from_iterable(table))
+
+
+def _rows(flat: bytes, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +168,11 @@ def enumerate_lattices(n: int) -> tuple[LatticeSkeleton, ...]:
         return (LatticeSkeleton(1, ((0,),), ((0,),)),)
     mids = range(1, n - 1)
     pairs = [(x, y) for x in mids for y in mids if x < y]
-    perms = tuple(_middle_perms(n))
+    relabellers = _relabellers(n)
+    # inverts[k]: the pairs, as a bitmask over pairs, whose order the
+    # k-th permutation reverses.
+    inverts = [sum(1 << i for i, (x, y) in enumerate(pairs) if p[x] > p[y])
+               for p, _, _ in relabellers]
     seen: set = set()
     found = []
     # Natural labelling: each pair is either x <= y or incomparable.
@@ -166,10 +186,12 @@ def enumerate_lattices(n: int) -> tuple[LatticeSkeleton, ...]:
             down[x] = 1 << x | 1
         up[n - 1] = 1 << (n - 1)
         down[0] = 1
-        for (x, y), c in zip(pairs, choice):
+        order = 0
+        for i, ((x, y), c) in enumerate(zip(pairs, choice)):
             if c:
                 up[x] |= 1 << y
                 down[y] |= 1 << x
+                order |= 1 << i
         transitive = all(
             up[y] & ~up[x] == 0
             for x in mids for y in mids if x != y and up[x] >> y & 1)
@@ -178,31 +200,38 @@ def enumerate_lattices(n: int) -> tuple[LatticeSkeleton, ...]:
         tables = _tables_from_cover(n, up, down)
         if tables is None:
             continue
-        join, meet = tables
+        join = _flat(tables[0])
         if join in seen:
             continue
         # The join table fixes the order, hence the meet table too, so
         # the least (join, meet) relabeling is the one with least join.
-        orbit = {_relabel(join, p): p for p in perms}
+        orbit = [bytes(gather(join)).translate(tr)
+                 for _, gather, tr in relabellers]
         # Only naturally labelled tables are ever looked up: those whose
         # permutation keeps every order pair x < y increasing.
-        order = [xy for xy, c in zip(pairs, choice) if c]
-        seen.update(t for t, p in orbit.items()
-                    if all(p[x] < p[y] for x, y in order))
-        key = min(orbit)
-        found.append((key, _relabel(meet, orbit[key])))
+        seen.update(t for t, inv in zip(orbit, inverts) if not inv & order)
+        k = min(range(len(orbit)), key=orbit.__getitem__)
+        _, gather, tr = relabellers[k]
+        found.append((orbit[k], bytes(gather(_flat(tables[1]))).translate(tr)))
     found.sort()
-    return tuple(LatticeSkeleton(n, jn, mt) for jn, mt in found)
+    return tuple(LatticeSkeleton(n, _rows(jn, n), _rows(mt, n))
+                 for jn, mt in found)
 
 
 @lru_cache(maxsize=None)
+def _symmetries(skel: LatticeSkeleton):
+    """The _relabellers entries of the automorphisms of skel other than
+    the identity: the middle permutations that fix the join table, and
+    with it the order and the meet table."""
+    if skel.n == 1:
+        return ()
+    join = _flat(skel.join)
+    return tuple(r for r in _relabellers(skel.n)[1:]
+                 if bytes(r[1](join)).translate(r[2]) == join)
+
+
 def skeleton_automorphisms(skel: LatticeSkeleton) -> tuple[tuple[int, ...], ...]:
-    n = skel.n
-    if n == 1:
-        return ((0,),)
-    return tuple(p for p in _middle_perms(n)
-                 if _relabel(skel.join, p) == skel.join
-                 and _relabel(skel.meet, p) == skel.meet)
+    return (tuple(range(skel.n)),) + tuple(p for p, _, _ in _symmetries(skel))
 
 
 # -- residuated products on a skeleton -------------------------------------
@@ -361,9 +390,12 @@ def _walk(fill: _Fill, out_tables):
     return examined, pruned
 
 
-def _canonical_product(skel: LatticeSkeleton, prod_t):
-    """Least relabeling of the table under the skeleton automorphisms."""
-    return min(_relabel(prod_t, p) for p in skeleton_automorphisms(skel))
+def _canonical_product(symmetries, prod_t) -> bytes:
+    """Least relabeling of the table, flattened, under the skeleton
+    automorphisms: the identity and the given _symmetries."""
+    flat = _flat(prod_t)
+    return min([flat, *(bytes(gather(flat)).translate(tr)
+                        for _, gather, tr in symmetries)])
 
 
 def _build_algebra(fill: _Fill, prod_t) -> ResiduatedLattice:
@@ -384,29 +416,38 @@ def enumerate_residuated(skel: LatticeSkeleton,
     fill = _Fill(skel)
     tables: list = []
     examined, pruned = _walk(fill, tables)
-    tables.sort()
     found = len(tables)
-    groups: dict = {}
-    for t in tables:
-        groups.setdefault(_canonical_product(skel, t), None)
-    emitted = sorted(groups)
+    symmetries = _symmetries(skel)
+    emitted = sorted({_canonical_product(symmetries, t) for t in tables})
     stats = SearchStats(examined, pruned, found, len(emitted),
                         found - len(emitted))
-    algebras = tuple(_build_algebra(fill, t) for t in emitted)
+    algebras = tuple(_build_algebra(fill, _rows(t, skel.n)) for t in emitted)
     return algebras, stats
 
 
-# -- predicate language over the classification ----------------------------
+# -- predicate language over the class verdicts ----------------------------
 
 ATOMS = {
-    "quasicomplemented": lambda r: r.quasicomplemented,
-    "disjunctive": lambda r: r.disjunctive,
-    "weakly_disjunctive": lambda r: r.weakly_disjunctive,
-    "lattice_boolean": lambda r: r.lattice_boolean,
-    "filter_lattice_boolean": lambda r: r.filter_lattice_boolean,
-    "true": lambda r: True,
-    "false": lambda r: False,
+    "quasicomplemented": quasicomplemented,
+    "disjunctive": disjunctive,
+    "weakly_disjunctive": weakly_disjunctive,
+    "lattice_boolean": lattice_boolean,
+    "filter_lattice_boolean": filter_lattice_boolean,
+    "true": lambda alg: True,
+    "false": lambda alg: False,
 }
+
+
+def _atom(name: str):
+    """ATOMS[name], except that given a ClassificationResult, which
+    bench/tracer.py still passes, a class atom reads the verdict it
+    holds."""
+    verdict = ATOMS[name]
+    if name not in ClassificationResult._fields:
+        return verdict
+    return lambda x: (getattr(x, name) if isinstance(x, ClassificationResult)
+                      else verdict(x))
+
 
 _TOKEN = re.compile(r"\s*([()]|[a-z_]+)")
 
@@ -426,10 +467,14 @@ def _tokenize(src: str) -> list[str]:
 
 
 def parse_predicate(src: str):
-    """Compile ``not/and/or`` formulas over the classification atoms.
+    """Compile ``not/and/or`` formulas over the atoms.
 
-    Returns a callable taking a ClassificationResult.  Grammar, loosest
-    first: expr = term {"or" term}; term = factor {"and" factor};
+    Returns a callable taking a ResiduatedLattice.  Each class atom is
+    the verdict function of that name in ``classify``, computed on first
+    read and memoised on the algebra, and the operators short-circuit,
+    so a call computes only the verdicts it reads: ``true`` none, and
+    ``a and b`` never b where a is false.  Grammar, loosest first:
+    expr = term {"or" term}; term = factor {"and" factor};
     factor = "not" factor | "(" expr ")" | atom.
     """
     tokens = _tokenize(src)
@@ -451,7 +496,7 @@ def parse_predicate(src: str):
         while peek() == "or":
             take()
             right = term()
-            left = (lambda a, b: lambda r: a(r) or b(r))(left, right)
+            left = (lambda a, b: lambda alg: a(alg) or b(alg))(left, right)
         return left
 
     def term():
@@ -459,21 +504,21 @@ def parse_predicate(src: str):
         while peek() == "and":
             take()
             right = factor()
-            left = (lambda a, b: lambda r: a(r) and b(r))(left, right)
+            left = (lambda a, b: lambda alg: a(alg) and b(alg))(left, right)
         return left
 
     def factor():
         tok = take()
         if tok == "not":
             inner = factor()
-            return lambda r: not inner(r)
+            return lambda alg: not inner(alg)
         if tok == "(":
             inner = expr()
             if take() != ")":
                 raise PreconditionError("unbalanced parenthesis in predicate")
             return inner
         if tok in ATOMS:
-            return ATOMS[tok]
+            return _atom(tok)
         if tok is None:
             raise PreconditionError("predicate ends mid-expression")
         raise PreconditionError(
@@ -514,7 +559,7 @@ def mine(predicate: str, n_max: int, n_min: int = 1) -> MineResult:
             algebras, stats = enumerate_residuated(skel)
             total = total + stats
             for alg in algebras:
-                if pred(classification(alg)):
+                if pred(alg):
                     matches.append(alg)
     return MineResult(tuple(matches), lattices, total)
 

@@ -10,7 +10,12 @@ import bruteforce as bf
 import tables as tb
 from reslat import InternalCheckError, PreconditionError
 from conftest import build, catalog5, element_kernel_by_principal_filter, set_of
-from reslat.alpha import alpha_closure, alpha_family, alpha_lattice
+from reslat.alpha import (
+    alpha_closure,
+    alpha_family,
+    alpha_lattice,
+    prime_alpha_filters,
+)
 from reslat.classify import (
     classification,
     cohull_lattice,
@@ -55,7 +60,7 @@ from reslat.spectrum import (
     prime_filters,
     separate,
 )
-from reslat.subsets import full_set, singleton
+from reslat.subsets import full_set, singleton, sort_family
 from reslat.views import (
     build_view,
     is_boolean,
@@ -136,6 +141,12 @@ def test_landscape_matches_oracle(index):
         assert set_of(alg, prime_core(alg, p)) == core
 
     assert as_sets(alg, alpha_family(alg)) == set(bf.alpha_filters(t))
+    # The prime alpha filters are the primes among the alpha filters, in
+    # canonical order.
+    assert as_sets(alg, prime_alpha_filters(alg)) == \
+        set(bf.primes(t)) & set(bf.alpha_filters(t))
+    assert prime_alpha_filters(alg) == \
+        sort_family(set(prime_filters(alg)) & set(alpha_family(alg)))
 
 
 def fixture_and_catalog_params():

@@ -11,7 +11,7 @@ import tables as tb
 from conftest import build
 from reslat import PreconditionError
 from reslat.algebra import check_tables, validate
-from reslat.classify import classification
+from reslat.classify import classification, disjunctive
 from reslat.search import (
     ATOMS,
     MAX_CARRIER,
@@ -242,18 +242,16 @@ def test_canonical_form_separates_structures(chain3, chain3n):
 
 
 def test_predicate_parser_semantics(a7, bool4):
-    r7 = classification(a7)
-    r4 = classification(bool4)
-    assert parse_predicate("not weakly_disjunctive")(r7)
-    assert not parse_predicate("not weakly_disjunctive")(r4)
-    assert parse_predicate("quasicomplemented and not disjunctive")(r7)
-    assert parse_predicate("lattice_boolean or filter_lattice_boolean")(r4)
+    assert parse_predicate("not weakly_disjunctive")(a7)
+    assert not parse_predicate("not weakly_disjunctive")(bool4)
+    assert parse_predicate("quasicomplemented and not disjunctive")(a7)
+    assert parse_predicate("lattice_boolean or filter_lattice_boolean")(bool4)
     # "and" binds tighter than "or"
-    assert not parse_predicate("false and true or false")(r7)
-    assert parse_predicate("true or true and false")(r7)
-    assert not parse_predicate("(true or true) and false")(r7)
-    assert parse_predicate("not (true and false)")(r7)
-    assert not parse_predicate("not true and false")(r7)
+    assert not parse_predicate("false and true or false")(a7)
+    assert parse_predicate("true or true and false")(a7)
+    assert not parse_predicate("(true or true) and false")(a7)
+    assert parse_predicate("not (true and false)")(a7)
+    assert not parse_predicate("not true and false")(a7)
 
 
 @pytest.fixture(scope="module")
@@ -272,6 +270,24 @@ def test_atom_matches_the_classification(classified6, atom, negate):
                  if getattr(res, atom, atom == "true") != negate)
     src = f"not {atom}" if negate else atom
     assert mine(src, 6).matches == want
+
+
+def test_predicate_computes_only_the_verdicts_it_reads():
+    alg = build(tb.A7)
+    assert parse_predicate("true")(alg)
+    assert "_derived" not in vars(alg)
+    # a7 is not disjunctive, so "and" never reads the second atom.
+    assert not parse_predicate("disjunctive and weakly_disjunctive")(alg)
+    assert set(vars(alg)["_derived"]) == {(disjunctive.__wrapped__,)}
+
+
+def test_predicate_reads_a_classification_result(a7, bool4):
+    # bench/tracer.py hands the predicate classification(alg).
+    for alg in (a7, bool4):
+        for atom in ATOMS:
+            for src in (atom, f"not {atom}"):
+                pred = parse_predicate(src)
+                assert pred(classification(alg)) == pred(alg)
 
 
 def test_predicate_parser_errors():
