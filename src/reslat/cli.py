@@ -462,8 +462,7 @@ def _cmd_search(args) -> int:
     rep.line(f"search through carriers of at most {args.max_size} elements")
     rep.line(f"predicate: {args.predicate}")
     per_size = []
-    # The matching algebras are kept only for --render, and each size's
-    # result is let go before the next size is mined.
+    # The matching algebras are kept only for --render.
     matches = []
     matching = 0
     lattices = 0
@@ -484,7 +483,6 @@ def _cmd_search(args) -> int:
         matching += len(res.matches)
         lattices += res.lattices
         stats = stats + res.stats
-        del res
     rep.line(f"total: {_count(lattices, 'lattice')}, "
              f"{_count(stats.emitted, 'algebra')}, {matching} matching")
     rep.line(f"tables examined {stats.examined}, branches pruned "
