@@ -19,7 +19,7 @@ from collections.abc import Iterator
 from .algebra import InvalidAlgebraError, ResiduatedLattice
 from .alpha import (alpha_closure, alpha_family, is_alpha_filter,
                     prime_alpha_filters, transfer_roundtrip_check)
-from .classify import (classification, congruence_classes_named,
+from .classify import (VERDICTS, classification, congruence_classes_named,
                        element_kernel_by_coannulet, element_lattice,
                        filter_kernel_spectral, filter_lattice, structure_maps)
 from .coann import (all_ideals, coannihilator_family, coannihilator_lattice,
@@ -184,7 +184,7 @@ def _per_doc(command, args, build) -> int:
 
 
 def _build_info(args, rep, item, label, alg):
-    cl = classification(alg)
+    verdicts = {name: verdict(alg) for name, verdict in VERDICTS.items()}
     rep.line(f"{label}: {alg.n} elements, bottom {alg.names[alg.bottom]}, "
              f"top {alg.names[alg.top]}")
     if alg.n > 1:
@@ -203,11 +203,11 @@ def _build_info(args, rep, item, label, alg):
         "alpha filters": len(alpha_family(alg)),
     }
     rep.line("  " + ", ".join(f"{k} {v}" for k, v in counts.items()))
-    rep.line(f"  quasicomplemented {_yes(cl.quasicomplemented)}, "
-             f"disjunctive {_yes(cl.disjunctive)}, "
-             f"weakly disjunctive {_yes(cl.weakly_disjunctive)}")
-    rep.line(f"  element lattice Boolean {_yes(cl.lattice_boolean)}, "
-             f"filter lattice Boolean {_yes(cl.filter_lattice_boolean)}")
+    rep.line(f"  quasicomplemented {_yes(verdicts['quasicomplemented'])}, "
+             f"disjunctive {_yes(verdicts['disjunctive'])}, "
+             f"weakly disjunctive {_yes(verdicts['weakly_disjunctive'])}")
+    rep.line(f"  element lattice Boolean {_yes(verdicts['lattice_boolean'])}, "
+             f"filter lattice Boolean {_yes(verdicts['filter_lattice_boolean'])}")
     item.update({
         "elements": list(alg.names),
         "bottom": alg.names[alg.bottom],
@@ -217,11 +217,7 @@ def _build_info(args, rep, item, label, alg):
         "nilpotents": _names(alg, alg.nilpotents),
         "boolean_center": _names(alg, alg.boolean_center),
         "counts": {k.replace(" ", "_"): v for k, v in counts.items()},
-        "quasicomplemented": cl.quasicomplemented,
-        "disjunctive": cl.disjunctive,
-        "weakly_disjunctive": cl.weakly_disjunctive,
-        "lattice_boolean": cl.lattice_boolean,
-        "filter_lattice_boolean": cl.filter_lattice_boolean,
+        **verdicts,
     })
 
 

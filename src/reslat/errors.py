@@ -6,9 +6,9 @@ class PreconditionError(ValueError):
 
 
 class InternalCheckError(AssertionError):
-    """A cross-check that must hold by theorem failed.
+    """A fact that must hold by theorem failed.
 
-    Raised when two independent computations of the same fact disagree.
+    Raised when a lattice operation leaves the family it was built on.
     On validated input this indicates a bug, never a property of the
     algebra, so it is an AssertionError rather than a ValueError.
     """

@@ -25,8 +25,7 @@ so every table it completes is valid.  The stats record how much work
 the walk spent.  A predicate language over the class verdicts turns the
 walk into a counterexample miner.  A predicate computes only the
 verdicts it reads, each by one route (the verdict functions of
-``classify``); ``classify.classification`` runs every route of every
-verdict and checks that they agree.
+``classify``).
 """
 
 from __future__ import annotations
@@ -37,14 +36,7 @@ from itertools import chain, permutations, product
 from operator import itemgetter
 
 from .algebra import ResiduatedLattice
-from .classify import (
-    ClassificationResult,
-    disjunctive,
-    filter_lattice_boolean,
-    lattice_boolean,
-    quasicomplemented,
-    weakly_disjunctive,
-)
+from .classify import VERDICTS, ClassificationResult
 from .errors import PreconditionError
 from .record import Record, setfield
 
@@ -228,10 +220,6 @@ def _symmetries(skel: LatticeSkeleton):
     join = _flat(skel.join)
     return tuple(r for r in _relabellers(skel.n)[1:]
                  if bytes(r[1](join)).translate(r[2]) == join)
-
-
-def skeleton_automorphisms(skel: LatticeSkeleton) -> tuple[tuple[int, ...], ...]:
-    return (tuple(range(skel.n)),) + tuple(p for p, _, _ in _symmetries(skel))
 
 
 # -- residuated products on a skeleton -------------------------------------
@@ -428,11 +416,7 @@ def enumerate_residuated(skel: LatticeSkeleton,
 # -- predicate language over the class verdicts ----------------------------
 
 ATOMS = {
-    "quasicomplemented": quasicomplemented,
-    "disjunctive": disjunctive,
-    "weakly_disjunctive": weakly_disjunctive,
-    "lattice_boolean": lattice_boolean,
-    "filter_lattice_boolean": filter_lattice_boolean,
+    **VERDICTS,
     "true": lambda alg: True,
     "false": lambda alg: False,
 }

@@ -20,6 +20,7 @@ from .alpha import (
     heyting_implication,
     is_alpha_filter,
     is_prime_alpha,
+    perp_image,
     prime_alpha_filters,
     transfer_roundtrip_check,
 )
@@ -725,6 +726,27 @@ def _transfer_isomorphism(alg):
     return _law(gen())
 
 
+def _prime_in_alpha_lattice(fam, mask):
+    """No two alpha filters, neither inside the filter, meet inside it."""
+    return not any(f & ~mask and g & ~mask and f & g & ~mask == 0
+                   for f in fam for g in fam)
+
+
+def _alpha_meet_irreducible(fam, mask):
+    return not any(f & g == mask and f != mask and g != mask
+                   for f in fam for g in fam)
+
+
+def _prime_coannulet_image(alg, mask):
+    """The coannulets of the members form a prime lattice filter of the
+    coannulet lattice."""
+    view = coannulet_lattice(alg)
+    img = perp_image(alg, mask)
+    return img != full_set(view.n) and not any(
+        contains(img, view.join[i][j]) and not contains(img, i)
+        and not contains(img, j) for i in range(view.n) for j in range(view.n))
+
+
 def _prime_alpha_four_way(alg):
     fam = alpha_family(alg)
     primes = prime_alpha_filters(alg)
@@ -732,9 +754,10 @@ def _prime_alpha_four_way(alg):
         for f in fam:
             if f == alg.universe:
                 continue
-            verdict = is_prime_alpha(alg, f)
             yield (lambda: f"four routes agree at {alg.subset_str(f)}",
-                   verdict == (f in primes))
+                   is_prime_alpha(alg, f) == _prime_in_alpha_lattice(fam, f)
+                   == _alpha_meet_irreducible(fam, f)
+                   == _prime_coannulet_image(alg, f))
             inter = alg.universe
             for p in primes:
                 if f & ~p == 0:

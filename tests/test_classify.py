@@ -199,7 +199,8 @@ def test_predicate_shorthands(a7, bool4):
 
 
 def test_class_census_through_seven_elements():
-    """How many algebras of each size n = 1..7 fall in each class.
+    """How many algebras of each size n = 1..7 fall in each class, with
+    every route of each verdict agreeing on every algebra.
 
     Every finite algebra is quasicomplemented; the disjunctive ones are
     exactly the lattice-Boolean ones, the Boolean algebras (n = 1, 2, 4);
@@ -211,6 +212,10 @@ def test_class_census_through_seven_elements():
               "filter_lattice_boolean": []}
     for n in range(1, 8):
         verdicts = [classification(alg) for alg in mine("true", n, n_min=n).matches]
+        for res in verdicts:
+            for name, routes in res.routes.items():
+                field = name.replace(" ", "_").lower()
+                assert {v for _, v in routes} == {getattr(res, field)}, routes
         census["all"].append(len(verdicts))
         for cls in list(census)[1:]:
             census[cls].append(sum(getattr(res, cls) for res in verdicts))

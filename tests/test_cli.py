@@ -172,6 +172,53 @@ def test_verify_json_shape(capsys):
                           "witness", "sides"}
 
 
+QC_ROUTES = (
+    "every element has a coannulet matching its double coannihilator",
+    "every element has a join complement with dense meet",
+    "coannulet lattice is Boolean",
+    "element quotient by shared coannulet is Boolean",
+    "filter quotient by shared cohull is Boolean",
+    "primes without dense elements are minimal",
+    "hull and dual hull topologies coincide",
+)
+
+
+def test_route_disagreement_is_a_verify_failure(capsys, monkeypatch):
+    """A route that answers wrongly fails its equivalence statement with
+    every route's answer as the witness, and classify still prints every
+    route; neither run is aborted."""
+    import reslat.classify
+    real = reslat.classify.topologies_equal
+    monkeypatch.setattr(reslat.classify, "topologies_equal",
+                        lambda alg: not real(alg))
+    code, out = run(capsys, "verify", "--only",
+                    "quasicomplemented-equivalences", "a7")
+    assert code == 1
+    sides = "; ".join(f"{label}: {'no' if label.startswith('hull') else 'yes'}"
+                      for label in QC_ROUTES)
+    assert out.splitlines()[1] == \
+        f"  FAIL [classification] quasicomplemented-equivalences ({sides})"
+    assert "a7: 0 passed, 1 failed" in out
+    code, out = run(capsys, "classify", "a7")
+    assert code == 0
+    assert "  quasicomplemented: yes\n" in out
+    assert "    - hull and dual hull topologies coincide: no\n" in out
+
+
+@pytest.mark.parametrize("face", ["_prime_in_alpha_lattice",
+                                  "_alpha_meet_irreducible",
+                                  "_prime_coannulet_image"])
+def test_prime_alpha_face_disagreement_is_a_verify_failure(capsys, monkeypatch,
+                                                           face):
+    import reslat.suite
+    real = getattr(reslat.suite, face)
+    monkeypatch.setattr(reslat.suite, face, lambda *args: not real(*args))
+    code, out = run(capsys, "verify", "--only", "prime-alpha-four-way", "a7")
+    assert code == 1
+    assert out.splitlines()[1] == \
+        "  FAIL [alpha] prime-alpha-four-way (fails at four routes agree at {1})"
+
+
 def test_search_text(capsys):
     code, out = run(capsys, "search", "--max-size", "3")
     assert code == 0

@@ -18,13 +18,13 @@ from reslat.search import (
     LatticeSkeleton,
     _Fill,
     _interval,
+    _symmetries,
     _walk,
     enumerate_lattices,
     enumerate_residuated,
     mine,
     names_for,
     parse_predicate,
-    skeleton_automorphisms,
 )
 
 
@@ -195,11 +195,20 @@ def test_emitted_algebras_are_canonical_and_distinct():
     assert len(seen) == 26
 
 
+def _automorphisms(sk):
+    """The identity and the permutations of the non-identity symmetries."""
+    return [tuple(range(sk.n))] + [p for p, _, _ in _symmetries(sk)]
+
+
 def test_diamond_automorphisms():
     diamond = next(sk for sk in enumerate_lattices(4) if sk.join[1][2] == 3)
-    assert len(skeleton_automorphisms(diamond)) == 2
+    assert len(_automorphisms(diamond)) == 2
     chain = next(sk for sk in enumerate_lattices(4) if sk.join[1][2] != 3)
-    assert skeleton_automorphisms(chain) == ((0, 1, 2, 3),)
+    assert _automorphisms(chain) == [(0, 1, 2, 3)]
+    for n in range(1, 7):
+        for sk in enumerate_lattices(n):
+            assert sorted(_automorphisms(sk)) == \
+                sorted(bf.automorphisms(sk.join, sk.meet, n))
 
 
 def test_names_for():
