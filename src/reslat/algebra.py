@@ -334,6 +334,13 @@ class ResiduatedLattice(Record):
             acc = self.prod[acc][x]
         return acc
 
+    def join_of(self, mask: int) -> int:
+        """Join of the members of a subset; bottom for the empty subset."""
+        acc = self.bottom
+        for x in elements(mask):
+            acc = self.join[acc][x]
+        return acc
+
     def subset_str(self, mask: int) -> str:
         return render(mask, self.names)
 

@@ -455,8 +455,10 @@ def _cmd_search(args) -> int:
         raise _UsageError(f"max size must be between 1 and {MAX_CARRIER}")
 
     rep = ReportBuilder("search")
-    rep.line(f"search through carriers of at most {args.max_size} elements")
-    rep.line(f"predicate: {args.predicate}")
+    # The summary lines are comments, so that the --render output parses as
+    # a document stream.
+    rep.line(f"# search through carriers of at most {args.max_size} elements")
+    rep.line(f"# predicate: {args.predicate}")
     per_size = []
     # The matching algebras are kept only for --render.
     matches = []
@@ -471,7 +473,7 @@ def _cmd_search(args) -> int:
             "algebras": res.stats.emitted,
             "matching": len(res.matches),
         })
-        rep.line(f"  size {n}: {_count(res.lattices, 'lattice')}, "
+        rep.line(f"#   size {n}: {_count(res.lattices, 'lattice')}, "
                  f"{_count(res.stats.emitted, 'algebra')}, "
                  f"{len(res.matches)} matching")
         if args.render:
@@ -479,9 +481,9 @@ def _cmd_search(args) -> int:
         matching += len(res.matches)
         lattices += res.lattices
         stats = stats + res.stats
-    rep.line(f"total: {_count(lattices, 'lattice')}, "
+    rep.line(f"# total: {_count(lattices, 'lattice')}, "
              f"{_count(stats.emitted, 'algebra')}, {matching} matching")
-    rep.line(f"tables examined {stats.examined}, branches pruned "
+    rep.line(f"# tables examined {stats.examined}, branches pruned "
              f"{stats.pruned}, duplicates dropped {stats.iso_rejected}")
     rep.set("max_size", args.max_size)
     rep.set("predicate", args.predicate)

@@ -5,7 +5,10 @@ every member of X is top.  Single-element coannihilators (coannulets)
 form a lattice; arbitrary ones form a complete Boolean lattice whose
 join is the double coannihilator of the union.  Lattice ideals of the
 order reduct induce filters of elements with a join-complement witness
-in the ideal; those form a bounded distributive lattice.
+in the ideal; those form a bounded distributive lattice.  An ideal holds
+the join of its members, so on a finite carrier every ideal is
+principal, the down-set of one element, and the ideal a set generates
+is the down-set of the set's join.
 
 Several maps here are many-to-one (different ideals can induce the same
 filter), so canonical representatives are fixed: the join of omega
@@ -17,7 +20,7 @@ from __future__ import annotations
 from .algebra import ResiduatedLattice, derived
 from .errors import PreconditionError
 from .filters import all_filters, is_filter
-from .subsets import contains, elements, singleton, sort_family
+from .subsets import elements, singleton, sort_family
 from .views import LatticeView, build_view
 
 
@@ -114,50 +117,21 @@ def coannihilator_lattice(alg: ResiduatedLattice) -> LatticeView:
 # -- lattice ideals and omega filters --------------------------------------
 
 def is_lattice_ideal(alg: ResiduatedLattice, mask: int) -> bool:
-    """Nonempty, downward closed, closed under join."""
-    if mask == 0:
-        return False
-    for x in elements(mask):
-        if alg.down[x] & ~mask:
-            return False
-        for y in elements(mask):
-            if not contains(mask, alg.join[x][y]):
-                return False
-    return True
-
-
-def _ideal_closure(alg: ResiduatedLattice, mask: int) -> int:
-    cur = mask | singleton(alg.bottom)
-    while True:
-        nxt = cur
-        for x in elements(cur):
-            nxt |= alg.down[x]
-            for y in elements(cur):
-                nxt |= singleton(alg.join[x][y])
-        if nxt == cur:
-            return cur
-        cur = nxt
+    """Nonempty, downward closed, closed under join: the down-set of the
+    join of its members."""
+    return mask != 0 and alg.down[alg.join_of(mask)] == mask
 
 
 @derived
 def all_ideals(alg: ResiduatedLattice) -> tuple[int, ...]:
-    """Every lattice ideal, grown from the bottom by closure extensions."""
-    start = _ideal_closure(alg, 0)
-    found = {start}
-    frontier = [start]
-    while frontier:
-        i = frontier.pop()
-        for x in range(alg.n):
-            if not contains(i, x):
-                j = _ideal_closure(alg, i | singleton(x))
-                if j not in found:
-                    found.add(j)
-                    frontier.append(j)
-    return sort_family(found)
+    """Every lattice ideal: the principal down-sets."""
+    return sort_family(alg.down[a] for a in range(alg.n))
 
 
 def ideal_join(alg: ResiduatedLattice, i: int, j: int) -> int:
-    return _ideal_closure(alg, i | j)
+    """Least ideal containing both: the down-set of the join of the
+    union."""
+    return alg.down[alg.join_of(i | j)]
 
 
 def omega_filter(alg: ResiduatedLattice, ideal_mask: int) -> int:

@@ -104,26 +104,16 @@ def is_minimal_prime(alg: ResiduatedLattice, p_mask: int) -> bool:
     A prime is minimal exactly when its complement is a maximal
     join-closed set avoiding top: the complement cannot absorb any
     member (other than top) and stay join-closed without reaching top.
+    The join closure of a finite set reaches top exactly when the join
+    of all its members is top.
     """
     if not is_prime(alg, p_mask):
         raise PreconditionError(f"not a prime filter: {alg.subset_str(p_mask)}")
     comp = alg.universe & ~p_mask
     for x in elements(p_mask & ~singleton(alg.top)):
-        if not contains(_join_closure(alg, comp | singleton(x)), alg.top):
+        if alg.join_of(comp | singleton(x)) != alg.top:
             return False
     return True
-
-
-def _join_closure(alg: ResiduatedLattice, mask: int) -> int:
-    cur = mask
-    while True:
-        nxt = cur
-        for x in elements(cur):
-            for y in elements(cur):
-                nxt |= singleton(alg.join[x][y])
-        if nxt == cur:
-            return cur
-        cur = nxt
 
 
 @derived

@@ -124,33 +124,23 @@ def is_boolean(view: LatticeView) -> bool:
     return all(complements_in(view, i) for i in range(view.n))
 
 
-@derived
-def view_filters(view: LatticeView) -> tuple[int, ...]:
-    """Every lattice filter of the view, as masks over node indices.
+def view_filter_generated(view: LatticeView, mask: int) -> int:
+    """Least lattice filter containing the given nodes.
 
     A filter of a finite lattice holds the meet of its members, so it is
-    the up-set of that meet: the filters are the principal up-sets.
+    the up-set of that meet: here the meet of the nodes with top.
     """
-    ups = (sum(1 << j for j in range(view.n) if view.leq(i, j))
-           for i in range(view.n))
+    m = reduce(lambda i, j: view.meet[i][j],
+               (i for i in range(view.n) if mask >> i & 1), view.top)
+    return sum(1 << j for j in range(view.n) if view.leq(m, j))
+
+
+@derived
+def view_filters(view: LatticeView) -> tuple[int, ...]:
+    """Every lattice filter of the view, as masks over node indices: the
+    principal up-sets, one generated by each node."""
+    ups = (view_filter_generated(view, 1 << i) for i in range(view.n))
     return tuple(sorted(ups, key=lambda m: (m.bit_count(), m)))
-
-
-def view_filter_generated(view: LatticeView, mask: int) -> int:
-    """Least lattice filter containing the given nodes."""
-    cur = mask | 1 << view.top
-    while True:
-        nxt = cur
-        for i in range(view.n):
-            if cur >> i & 1:
-                for j in range(view.n):
-                    if view.leq(i, j):
-                        nxt |= 1 << j
-                    if cur >> j & 1:
-                        nxt |= 1 << view.meet[i][j]
-        if nxt == cur:
-            return cur
-        cur = nxt
 
 
 def is_sublattice(sub: LatticeView, sup: LatticeView) -> bool:

@@ -270,6 +270,39 @@ def ideals(t):
                   key=lambda s: (len(s), sorted(s)))
 
 
+def _ideal_closure(t, xs):
+    """Close xs plus bottom under down-sets and pairwise joins until
+    nothing changes."""
+    n, join = t["n"], t["join"]
+    cur = frozenset(xs) | {t["bottom"]}
+    while True:
+        nxt = set(cur)
+        for x in cur:
+            nxt.update(y for y in range(n) if leq(t, y, x))
+            nxt.update(join[x][y] for y in cur)
+        if nxt == cur:
+            return cur
+        cur = frozenset(nxt)
+
+
+def grown_ideals(t):
+    """Every lattice ideal without a subset scan: grown from the closure
+    of bottom, each ideal found extended by one element outside it and
+    closed again, until no new ideal appears."""
+    start = _ideal_closure(t, ())
+    found = {start}
+    frontier = [start]
+    while frontier:
+        i = frontier.pop()
+        for x in range(t["n"]):
+            if x not in i:
+                j = _ideal_closure(t, i | {x})
+                if j not in found:
+                    found.add(j)
+                    frontier.append(j)
+    return sorted(found, key=lambda s: (len(s), sorted(s)))
+
+
 def omega(t, ideal):
     top = t["top"]
     return frozenset(a for a in range(t["n"])

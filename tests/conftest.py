@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import bruteforce as bf
 import tables as tb
 from reslat import validate
 from reslat.classify import element_lattice
@@ -64,6 +65,14 @@ def mask_of(alg, *names):
 
 def set_of(alg, mask):
     return frozenset(i for i in range(alg.n) if mask >> i & 1)
+
+
+def oracle_of(alg):
+    """The algebra's tables in the form the brute-force oracle reads."""
+    def named(table):
+        return [[alg.names[v] for v in row] for row in table]
+    return bf.make(alg.names, named(alg.join), named(alg.meet), named(alg.prod),
+                   named(alg.impl), alg.names[alg.bottom], alg.names[alg.top])
 
 
 @functools.cache

@@ -1,6 +1,7 @@
 """Analysis commands on 20- to 32-element carriers, ``verify`` on 12-
-and 16-element ones, and ``validate`` on 64-element ones finish within
-a time budget and give the closed-form answers.
+and 16-element ones, and ``validate``, ``info`` and ``coann`` on
+64-element ones finish within a time budget and give the closed-form
+answers.
 
 Each command runs in a fresh interpreter, so no cache carries over from
 an earlier command on the same algebra.
@@ -31,7 +32,9 @@ COMMANDS = ("info", "coann", "spectrum", "filters", "classify", "alpha")
 VERIFY_ALGEBRAS = {"luk12": lambda: luk(12), "boolean4": lambda: boolean(4)}
 # validate is cubic in the carrier size; 64 elements is the largest
 # carrier a document may have.
-VALIDATE_ALGEBRAS = {"luk64": lambda: luk(64), "boolean6": lambda: boolean(6)}
+LARGE_ALGEBRAS = {"luk64": lambda: luk(64), "boolean6": lambda: boolean(6)}
+# The analysis commands held on 64 elements as well.
+LARGE_COMMANDS = ("info", "coann")
 
 
 def expected(key):
@@ -39,12 +42,13 @@ def expected(key):
     if key.startswith("luk"):
         closed = closed_form_info(key)
         return closed["counts"], closed["verdicts"]
-    # 2^5: the filters are the 32 principal filters, each of them a
+    # 2^k: the filters are the 2^k principal filters, each of them a
     # coannihilator and an alpha filter; the primes are the principal
-    # filters of the five atoms, each maximal and minimal.
-    counts = {"filters": 32, "prime_filters": 5, "minimal_primes": 5,
-              "maximal_filters": 5, "coannulets": 32, "coannihilators": 32,
-              "lattice_ideals": 32, "alpha_filters": 32}
+    # filters of the k atoms, each maximal and minimal.
+    k = int(key.removeprefix("boolean"))
+    counts = {"filters": 2 ** k, "prime_filters": k, "minimal_primes": k,
+              "maximal_filters": k, "coannulets": 2 ** k, "coannihilators": 2 ** k,
+              "lattice_ideals": 2 ** k, "alpha_filters": 2 ** k}
     return counts, [True] * len(CLASS_VERDICTS)
 
 
@@ -72,7 +76,7 @@ def observed(cmd, item):
 def documents(tmp_path_factory):
     directory = tmp_path_factory.mktemp("budget")
     paths = {}
-    for key, make in {**ALGEBRAS, **VERIFY_ALGEBRAS, **VALIDATE_ALGEBRAS}.items():
+    for key, make in {**ALGEBRAS, **VERIFY_ALGEBRAS, **LARGE_ALGEBRAS}.items():
         paths[key] = directory / f"{key}.alg"
         paths[key].write_text(render_algebra(make(), key))
     return paths
@@ -93,8 +97,10 @@ def run_within_budget(cmd, path, key="algebras"):
     return json.loads(proc.stdout)[key][0]
 
 
-@pytest.mark.parametrize("cmd", COMMANDS)
-@pytest.mark.parametrize("key", sorted(ALGEBRAS))
+@pytest.mark.parametrize(
+    "key, cmd",
+    [(key, cmd) for key in sorted(ALGEBRAS) for cmd in COMMANDS]
+    + [(key, cmd) for key in sorted(LARGE_ALGEBRAS) for cmd in LARGE_COMMANDS])
 def test_command_within_budget(key, cmd, documents):
     counts, verdicts = observed(cmd, run_within_budget(cmd, documents[key]))
     want_counts, want_verdicts = expected(key)
@@ -109,7 +115,7 @@ def test_verify_within_budget(key, documents):
     assert (item["passed"], item["failed"]) == (44, 0)
 
 
-@pytest.mark.parametrize("key", sorted(VALIDATE_ALGEBRAS))
+@pytest.mark.parametrize("key", sorted(LARGE_ALGEBRAS))
 def test_validate_within_budget(key, documents):
     item = run_within_budget("validate", documents[key], key="documents")
     assert item == {"label": key, "valid": True, "elements": 64}

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 import bruteforce as bf
 import tables as tb
-from conftest import build, mask_of, set_of
+from conftest import build, mask_of, oracle_of, set_of
+from gen import boolean, luk
 from reslat import PreconditionError
 from reslat.coann import (
     all_ideals,
@@ -81,6 +82,16 @@ def test_every_ideal_is_a_principal_down_set(key):
     ideals = all_ideals(alg)
     assert len(ideals) == alg.n
     assert set(ideals) == {alg.down[x] for x in range(alg.n)}
+
+
+@pytest.mark.parametrize("make", [lambda: luk(20), lambda: luk(32), lambda: boolean(5)],
+                         ids=["luk20", "luk32", "boolean5"])
+def test_principal_ideals_are_the_grown_ones(make):
+    """The principal down-sets against every ideal grown by closure from
+    the bottom, on carriers too large for the oracle's subset scan."""
+    alg = make()
+    assert {set_of(alg, m) for m in all_ideals(alg)} == set(bf.grown_ideals(oracle_of(alg)))
+    assert len(all_ideals(alg)) == alg.n
 
 
 def test_omega_examples(a7):
