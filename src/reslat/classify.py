@@ -32,13 +32,15 @@ from .filters import (
 from .record import Record, setfield
 from .spectrum import (
     cohull,
+    dual_hull_topology,
     hull,
+    hull_topology,
     is_minimal_prime,
     minimal_primes,
     prime_filters,
     topologies_equal,
 )
-from .subsets import contains, elements, full_set, singleton, sort_family
+from .subsets import contains, elements, full_set, singleton
 from .views import (
     Congruence,
     LatticeView,
@@ -87,17 +89,18 @@ def filter_lattice(alg: ResiduatedLattice) -> LatticeView:
 
 @derived
 def hull_lattice(alg: ResiduatedLattice) -> LatticeView:
-    """Hulls of single elements as point sets over the minimal primes."""
-    keys = sort_family(hull(alg, singleton(x)) for x in range(alg.n))
-    return build_view("hulls", keys, lambda u, v: u | v, lambda u, v: u & v)
+    """Hulls of single elements as point sets over the minimal primes:
+    the opens of the dual hull topology, under union and intersection."""
+    return build_view("hulls", dual_hull_topology(alg).opens,
+                      lambda u, v: u | v, lambda u, v: u & v)
 
 
 @derived
 def cohull_lattice(alg: ResiduatedLattice) -> LatticeView:
-    """Complements of the hulls, again under union and intersection."""
-    space = full_set(len(minimal_primes(alg)))
-    keys = sort_family(space & ~h for h in hull_lattice(alg).keys)
-    return build_view("cohulls", keys, lambda u, v: u | v, lambda u, v: u & v)
+    """Complements of the hulls, the opens of the hull topology, again
+    under union and intersection."""
+    return build_view("cohulls", hull_topology(alg).opens,
+                      lambda u, v: u | v, lambda u, v: u & v)
 
 
 def _map_report(name, domain, codomain, dual, images) -> MapReport:

@@ -86,57 +86,3 @@ def principal_generator(alg: ResiduatedLattice, f_mask: int) -> int:
     if not is_filter(alg, f_mask):
         raise PreconditionError(f"not a filter: {alg.subset_str(f_mask)}")
     return alg.product_of(f_mask)
-
-
-def family_join(family: tuple[int, ...], masks: tuple[int, ...]) -> int:
-    """Least family member containing the union of the given members."""
-    union = 0
-    for m in masks:
-        union |= m
-    above = [f for f in family if f & union == union]
-    if not above:
-        raise PreconditionError("family has no upper bound for the join")
-    least = min(above, key=lambda f: f.bit_count())
-    for f in above:
-        if least & f != least:
-            raise PreconditionError("family join is not unique")
-    return least
-
-
-def family_meet(family: tuple[int, ...], masks: tuple[int, ...]) -> int:
-    """Greatest family member inside the intersection of the given members."""
-    inter = ~0
-    for m in masks:
-        inter &= m
-    below = [f for f in family if f & inter == f]
-    if not below:
-        raise PreconditionError("family has no lower bound for the meet")
-    greatest = max(below, key=lambda f: f.bit_count())
-    for f in below:
-        if f & greatest != f:
-            raise PreconditionError("family meet is not unique")
-    return greatest
-
-
-def frame_check(family: tuple[int, ...]) -> bool:
-    """Whether meet distributes over joins of arbitrary subfamilies.
-
-    The family is treated as a complete lattice under inclusion, join of
-    a subfamily being its least upper member and binary meet its
-    greatest lower member.  On a finite lattice binary distributivity,
-    F meet (G join H) == (F meet G) join (F meet H) for all members,
-    already gives it for the join of every nonempty subfamily, by
-    induction on the subfamily's size; so a five-element diamond of
-    subsets fails while every filter family passes.
-    """
-    fam = tuple(sorted(set(family)))
-    for g in fam:
-        for h in fam:
-            j = family_join(fam, (g, h))
-            for f in fam:
-                lhs = family_meet(fam, (f, j))
-                rhs = family_join(fam, (family_meet(fam, (f, g)),
-                                        family_meet(fam, (f, h))))
-                if lhs != rhs:
-                    return False
-    return True

@@ -28,9 +28,6 @@ class ReportBuilder:
     def set(self, key: str, value) -> None:
         self._data[key] = value
 
-    def get(self, key: str):
-        return self._data[key]
-
     def text(self) -> str:
         return "\n".join(self._lines) + "\n" if self._lines else ""
 

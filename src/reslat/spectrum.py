@@ -5,13 +5,19 @@ an operand.  The spectrum, its maximal and minimal members, and the two
 topologies on the minimal points (closed basis of hulls, and the dual
 with hulls open) are all materialized since the carrier is finite.
 
+Both topologies are read off the hulls of single elements, which need
+no closure: they already hold the empty set and the whole space and
+are closed under union and intersection.
+
+- hull(x) | hull(y) == hull(x v y), because every point is prime;
+- hull(x) & hull(y) == hull(x * y), because every point is a filter;
+- hull(bottom) is empty when n > 1, and hull(top) is the whole space.
+
 Point subsets live over the canonical minimal-prime ordering, so the
 same subset of points always prints the same way.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
 
 from .algebra import ResiduatedLattice, derived
 from .errors import PreconditionError
@@ -194,40 +200,18 @@ class Topology(Record):
         return s in self.opens and (self.space & ~s) in self.opens
 
 
-def _union_meet_closure(space: int, family: Iterable[int]) -> set[int]:
-    """The family with 0 and the space, closed under union and
-    intersection."""
-    out = {0, space}
-    out.update(family)
-    changed = True
-    while changed:
-        changed = False
-        for u in tuple(out):
-            for v in tuple(out):
-                for w in (u | v, u & v):
-                    if w not in out:
-                        out.add(w)
-                        changed = True
-    return out
+@derived
+def dual_hull_topology(alg: ResiduatedLattice) -> Topology:
+    """Topology with the hulls of single elements as its open sets."""
+    return Topology(minimal_primes(alg),
+                    sort_family(hull(alg, singleton(x)) for x in range(alg.n)))
 
 
 @derived
 def hull_topology(alg: ResiduatedLattice) -> Topology:
-    """Topology with the hulls of single elements as a closed basis."""
-    pts = minimal_primes(alg)
-    space = full_set(len(pts))
-    # closed sets: all intersections of finite unions of basis members
-    closed = _union_meet_closure(space, (hull(alg, singleton(x)) for x in range(alg.n)))
-    return Topology(pts, sort_family(space & ~c for c in closed))
-
-
-@derived
-def dual_hull_topology(alg: ResiduatedLattice) -> Topology:
-    """Topology with the same hulls taken as an open basis."""
-    pts = minimal_primes(alg)
-    opens = _union_meet_closure(full_set(len(pts)),
-                                (hull(alg, singleton(x)) for x in range(alg.n)))
-    return Topology(pts, sort_family(opens))
+    """Topology with the same hulls as its closed sets."""
+    dual = dual_hull_topology(alg)
+    return Topology(dual.points, sort_family(dual.space & ~h for h in dual.opens))
 
 
 def topologies_equal(alg: ResiduatedLattice) -> bool:

@@ -38,10 +38,6 @@ def elements(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def canonical_key(mask: int) -> tuple[int, int]:
     return (mask.bit_count(), mask)
 

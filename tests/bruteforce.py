@@ -365,6 +365,18 @@ def is_frame(family):
     return True
 
 
+def union_meet_closure(space, family):
+    """The family with 0 and the space, closed under union and
+    intersection: pairwise unions and intersections are added until
+    nothing changes."""
+    out = {0, space} | set(family)
+    while True:
+        grown = out | {u | v for u in out for v in out} | {u & v for u in out for v in out}
+        if grown == out:
+            return sorted(out, key=lambda m: (bin(m).count("1"), m))
+        out = grown
+
+
 def lattice_law_failures(view):
     """Laws a node-indexed (join, meet, bottom, top) table breaks:
     idempotence, bounds, commutativity, absorption, associativity."""

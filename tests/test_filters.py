@@ -5,20 +5,21 @@ from hypothesis import given, settings, strategies as st
 
 import bruteforce as bf
 import tables as tb
-from conftest import build, mask_of, set_of
+from conftest import build, catalog5, mask_of, set_of
 from reslat import PreconditionError
-from reslat.alpha import alpha_family
+from reslat.alpha import alpha_lattice
+from reslat.classify import filter_lattice
 from reslat.filters import (
     all_filters,
     extend_filter,
     filter_join,
-    frame_check,
     generated_filter,
     is_filter,
     principal_filter,
     principal_generator,
     proper_filters,
 )
+from reslat.views import build_view, is_distributive
 
 
 def test_a7_filter_membership(a7):
@@ -81,25 +82,43 @@ def test_principal_filters_cover_all(bundled):
         assert {principal_filter(alg, x) for x in range(alg.n)} == set(all_filters(alg))
 
 
-def test_frame_check_on_filter_families(bundled):
-    for alg in bundled.values():
-        assert frame_check(all_filters(alg))
+DIAMOND = (0, 0b001, 0b010, 0b100, 0b111)
+PENTAGON = (0, 0b001, 0b011, 0b100, 0b111)
 
 
-def test_frame_check_rejects_diamond_family():
+def family_view(name, family):
+    """A family of masks as a lattice: join is the least member over the
+    union, meet the greatest member inside the intersection."""
+    def join(f, g):
+        return min((h for h in family if h & (f | g) == f | g), key=int.bit_count)
+
+    def meet(f, g):
+        return max((h for h in family if h & f & g == h), key=int.bit_count)
+
+    return build_view(name, family, join, meet)
+
+
+def filter_and_alpha_views(algs):
+    for alg in algs:
+        yield filter_lattice(alg)
+        yield alpha_lattice(alg)
+
+
+def test_filter_and_alpha_views_are_frames(bundled):
+    for view in filter_and_alpha_views([*bundled.values(), *catalog5()]):
+        assert is_distributive(view)
+
+
+def test_is_distributive_rejects_diamond_view():
     # three atoms under a common top with a common bottom: not distributive
-    fam = (0, 0b001, 0b010, 0b100, 0b111)
-    assert not frame_check(fam)
+    assert not is_distributive(family_view("diamond", DIAMOND))
 
 
-def test_frame_check_matches_subfamily_definition(bundled):
-    diamond = (0, 0b001, 0b010, 0b100, 0b111)
-    pentagon = (0, 0b001, 0b011, 0b100, 0b111)
-    families = [diamond, pentagon]
-    for alg in bundled.values():
-        families += [all_filters(alg), alpha_family(alg)]
-    verdicts = [frame_check(fam) for fam in families]
-    assert verdicts == [bf.is_frame(fam) for fam in families]
+def test_is_distributive_matches_subfamily_definition(bundled):
+    views = [family_view("diamond", DIAMOND), family_view("pentagon", PENTAGON),
+             *filter_and_alpha_views([*bundled.values(), *catalog5()])]
+    verdicts = [is_distributive(view) for view in views]
+    assert verdicts == [bf.is_frame(view.keys) for view in views]
     assert verdicts[:2] == [False, False]
 
 

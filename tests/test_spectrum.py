@@ -4,7 +4,8 @@ import pytest
 
 import bruteforce as bf
 import tables as tb
-from conftest import build, mask_of, set_of
+from conftest import build, catalog5, mask_of, set_of
+from gen import boolean, godel, luk
 from reslat import PreconditionError
 from reslat.spectrum import (
     cohull,
@@ -24,7 +25,7 @@ from reslat.spectrum import (
     separate,
     topologies_equal,
 )
-from reslat.subsets import singleton
+from reslat.subsets import full_set, singleton
 
 
 def test_a7_spectrum_frozen(a7):
@@ -137,6 +138,25 @@ def test_a7_topologies(a7):
     assert th.opens == (0, 0b01, 0b10, 0b11)
     assert th.opens == td.opens
     assert topologies_equal(a7)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [pytest.param(lambda key=key: build(tb.ALL_TABLES[key]), id=key)
+     for key in sorted(tb.ALL_TABLES)]
+    + [pytest.param(lambda i=i: catalog5()[i], id=f"catalog5-{i}") for i in range(37)]
+    + [pytest.param(lambda: luk(20), id="luk20"), pytest.param(lambda: godel(20), id="godel20"),
+       pytest.param(lambda: boolean(5), id="boolean5")])
+def test_topologies_need_no_closure(make):
+    """The element hulls are already closed under union and intersection
+    and hold the empty set and the whole space: both topologies equal
+    the fixpoint closure of the hulls."""
+    alg = make()
+    space = full_set(len(minimal_primes(alg)))
+    closed = bf.union_meet_closure(space, (hull(alg, singleton(x)) for x in range(alg.n)))
+    assert list(dual_hull_topology(alg).opens) == closed
+    assert list(hull_topology(alg).opens) == \
+        sorted((space & ~c for c in closed), key=lambda m: (m.bit_count(), m))
 
 
 def test_topology_properties(bundled):

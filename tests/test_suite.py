@@ -121,3 +121,16 @@ def test_omega_construction_states_distributivity(a7, monkeypatch):
     assert (report.passed, report.sides) == (False, (("holds", False),))
     assert report.witness == \
         "fails at omega filters form a bounded distributive lattice"
+
+
+@pytest.mark.parametrize("ident, witness", [
+    ("filter-lattice-frame", "fails at meets distribute over every join of subfamilies"),
+    ("alpha-frame-structure", "fails at family is a frame"),
+])
+def test_frames_state_distributivity(a7, monkeypatch, ident, witness):
+    """Both frame statements ask the suite's own distributivity check of
+    their lattice view, and name that instance when it fails."""
+    monkeypatch.setattr(suite, "is_distributive", lambda view: False)
+    (report,) = verify_suite(a7, idents=(ident,))
+    assert (report.passed, report.sides) == (False, (("holds", False),))
+    assert report.witness == witness
