@@ -19,7 +19,7 @@ from .algebra import ResiduatedLattice, derived
 from .coann import coannulet, coannulet_lattice, double_coannihilator
 from .errors import PreconditionError
 from .filters import all_filters, generated_filter, is_filter
-from .spectrum import _check_join_closed, is_prime
+from .spectrum import is_prime
 from .subsets import contains, elements, singleton
 from .views import LatticeView, build_view, view_filter_generated, view_filters
 
@@ -172,21 +172,24 @@ def prime_alpha_filters(alg: ResiduatedLattice) -> tuple[int, ...]:
                  if f != alg.universe and is_prime_alpha(alg, f))
 
 
-def alpha_separate(alg: ResiduatedLattice, f_mask: int, c_mask: int) -> int:
-    """Grow an alpha filter containing F but avoiding the join closed
-    set C, greedily absorbing carrier elements; the maximal result is
-    prime."""
+def alpha_separate(alg: ResiduatedLattice, f_mask: int, c: int) -> int:
+    """Grow an alpha filter containing F but avoiding the element c,
+    greedily absorbing carrier elements; the maximal result is prime.
+
+    As for ``spectrum.separate``, avoiding c is avoiding any join-closed
+    set whose join is c: the set holds c, and a filter meets it exactly
+    when it holds c.
+    """
     if not is_filter(alg, f_mask):
         raise PreconditionError(f"not a filter: {alg.subset_str(f_mask)}")
-    _check_join_closed(alg, c_mask)
     start = alpha_closure(alg, f_mask)
-    if start & c_mask:
+    if contains(start, c):
         raise PreconditionError(
-            f"closure of {alg.subset_str(f_mask)} already meets the avoided set")
+            f"closure of {alg.subset_str(f_mask)} already contains {alg.names[c]}")
     cur = start
     for x in range(alg.n):
         if not contains(cur, x):
             bigger = alpha_extend(alg, cur, x)
-            if bigger & c_mask == 0:
+            if not contains(bigger, c):
                 cur = bigger
     return cur

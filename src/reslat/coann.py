@@ -153,15 +153,21 @@ def omega_family(alg: ResiduatedLattice) -> tuple[int, ...]:
 
 @derived
 def canonical_ideal_of(alg: ResiduatedLattice, f_mask: int) -> int:
-    """The largest ideal inducing the given omega filter: the union of
-    all ideals inducing it, itself an ideal inducing the same filter."""
-    sources = [i for i in all_ideals(alg) if omega_filter(alg, i) == f_mask]
+    """The largest ideal inducing the given omega filter: the down-set
+    of the join of the elements whose coannulet is F.
+
+    The ideal down-set of a induces coann(a), so the ideals inducing F
+    are the down-sets of those elements.  The elements are closed under
+    join, coann(a v b) being the join of coann(a) and coann(b) in the
+    coannulet lattice, so their join is the largest of them.
+    """
+    sources = 0
+    for a, p in enumerate(alg.coannulets):
+        if p == f_mask:
+            sources |= singleton(a)
     if not sources:
         raise PreconditionError(f"{alg.subset_str(f_mask)} is not an omega filter")
-    union = 0
-    for i in sources:
-        union |= i
-    return union
+    return alg.down[alg.join_of(sources)]
 
 
 @derived

@@ -66,40 +66,30 @@ def minimal_primes(alg: ResiduatedLattice) -> tuple[int, ...]:
                        if not any(q != p and q & p == q for q in ps))
 
 
-@derived
-def _check_join_closed(alg: ResiduatedLattice, c_mask: int) -> None:
-    if c_mask == 0:
-        raise PreconditionError("the avoided set must be nonempty")
-    for x in elements(c_mask):
-        for y in elements(c_mask >> x << x):
-            j = alg.join[x][y]
-            if not contains(c_mask, j):
-                raise PreconditionError(
-                    f"avoided set not closed under join: {alg.names[x]} v {alg.names[y]} "
-                    f"= {alg.names[j]} escapes it")
+def separate(alg: ResiduatedLattice, f_mask: int, c: int) -> int:
+    """A prime filter containing F, avoiding the element c, and maximal
+    with that property.
 
-
-def separate(alg: ResiduatedLattice, f_mask: int, c_mask: int) -> int:
-    """A prime filter containing F, disjoint from a join-closed C, and
-    maximal with that property.
+    This is separation from a join-closed set C as well: on a finite
+    carrier C holds the join c of its members, and a filter, being an
+    up-set, meets C exactly when it holds c, so avoiding C, avoiding c
+    and avoiding the down-set of c are one condition.
 
     Greedy: absorb each element in carrier order whose extension still
-    avoids C.  One pass suffices: extensions only grow with the filter,
+    avoids c.  One pass suffices: extensions only grow with the filter,
     so an element once refused stays refused.  The loop order makes the
     choice among maximal solutions deterministic.
     """
     if not is_filter(alg, f_mask):
         raise PreconditionError(f"not a filter: {alg.subset_str(f_mask)}")
-    _check_join_closed(alg, c_mask)
-    if f_mask & c_mask:
-        x = next(elements(f_mask & c_mask))
-        raise PreconditionError(f"filter meets the avoided set at {alg.names[x]}")
+    if contains(f_mask, c):
+        raise PreconditionError(f"filter contains the avoided element {alg.names[c]}")
 
     cur = f_mask
     for x in range(alg.n):
         if not contains(cur, x):
             ext = extend_filter(alg, cur, x)
-            if ext & c_mask == 0:
+            if not contains(ext, c):
                 cur = ext
     return cur
 
@@ -120,25 +110,6 @@ def is_minimal_prime(alg: ResiduatedLattice, p_mask: int) -> bool:
         if alg.join_of(comp | singleton(x)) != alg.top:
             return False
     return True
-
-
-@derived
-def join_closed_sets(alg: ResiduatedLattice) -> tuple[int, ...]:
-    """Every nonempty join-closed subset, for exhaustive quantification.
-
-    joins[m] collects the joins of pairs of members of m.  With two or
-    more members, every pair but (lowest, highest) stays inside m less
-    one of those two, so each entry costs two lookups and one join.
-    """
-    joins = [0]
-    for m in range(1, alg.universe + 1):
-        low, high = (m & -m).bit_length() - 1, m.bit_length() - 1
-        if low == high:
-            joins.append(m)
-        else:
-            joins.append(joins[m ^ singleton(low)] | joins[m ^ singleton(high)]
-                         | singleton(alg.join[low][high]))
-    return tuple(m for m in range(1, alg.universe + 1) if joins[m] & ~m == 0)
 
 
 def prime_core(alg: ResiduatedLattice, p_mask: int) -> int:

@@ -72,7 +72,6 @@ from .spectrum import (
     is_prime,
     is_totally_disconnected,
     is_zero_dimensional,
-    join_closed_sets,
     kernel_filter,
     maximal_filters,
     minimal_primes,
@@ -329,13 +328,11 @@ def _maximal_implies_prime(alg):
 def _prime_separation(alg):
     def gen():
         for f in all_filters(alg):
-            for c in join_closed_sets(alg):
-                if f & c:
-                    continue
+            for c in elements(alg.universe & ~f):
                 p = separate(alg, f, c)
                 yield (lambda: f"separating {alg.subset_str(f)} from "
-                               f"{alg.subset_str(c)}",
-                       is_prime(alg, p) and f & ~p == 0 and p & c == 0)
+                               f"{alg.subset_str(alg.down[c])}",
+                       is_prime(alg, p) and f & ~p == 0 and p & alg.down[c] == 0)
     return _law(gen())
 
 
@@ -764,13 +761,11 @@ def _prime_alpha_four_way(alg):
             yield (lambda: f"{alg.subset_str(f)} is the meet of primes above it",
                    inter == f)
         for q in fam:
-            for c in join_closed_sets(alg):
-                if q & c:
-                    continue
+            for c in elements(alg.universe & ~q):
                 p = alpha_separate(alg, q, c)
                 yield (lambda: f"separation of {alg.subset_str(q)} from "
-                       f"{alg.subset_str(c)} lands on a prime",
-                       p in primes and p & c == 0 and q & ~p == 0)
+                       f"{alg.subset_str(alg.down[c])} lands on a prime",
+                       p in primes and p & alg.down[c] == 0 and q & ~p == 0)
     return _law(gen())
 
 

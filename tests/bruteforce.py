@@ -334,6 +334,32 @@ def alpha_closure(t, xs):
     return acc
 
 
+def alpha_separate(t, f, c):
+    """Grow the alpha closure of f away from c: absorb the first element,
+    in carrier order, whose alpha closure with the grown set still avoids
+    c, and start again from the first element, until none can be
+    absorbed."""
+    fs = alpha_filters(t)
+
+    def closure_of(xs):
+        acc = frozenset(range(t["n"]))
+        for g in fs:
+            if xs <= g:
+                acc &= g
+        return acc
+
+    cur = closure_of(frozenset(f))
+    while True:
+        for x in range(t["n"]):
+            if x not in cur:
+                ext = closure_of(cur | {x})
+                if not ext & c:
+                    cur = ext
+                    break
+        else:
+            return cur
+
+
 # -- families of subsets and derived lattices -------------------------------
 
 def is_frame(family):

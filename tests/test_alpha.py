@@ -148,15 +148,15 @@ def test_a7_prime_alpha(a7):
 
 def test_a7_alpha_separation(a7):
     f1 = mask_of(a7, "1")
-    assert alpha_separate(a7, f1, mask_of(a7, "c")) == mask_of(a7, "b", "d", "1")
-    assert alpha_separate(a7, f1, mask_of(a7, "a")) == mask_of(a7, "b", "d", "1")
-    assert alpha_separate(a7, f1, mask_of(a7, "b", "d")) == mask_of(a7, "e", "1")
+    a, c, d = (a7.names.index(x) for x in "acd")
+    assert alpha_separate(a7, f1, c) == mask_of(a7, "b", "d", "1")
+    assert alpha_separate(a7, f1, a) == mask_of(a7, "b", "d", "1")
+    # avoiding d is avoiding every join-closed set whose join is d, as {b, d}
+    assert alpha_separate(a7, f1, d) == mask_of(a7, "e", "1")
     with pytest.raises(PreconditionError):
-        alpha_separate(a7, f1, 0)
+        alpha_separate(a7, mask_of(a7, "e", "1"), a7.names.index("e"))
     with pytest.raises(PreconditionError):
-        alpha_separate(a7, f1, mask_of(a7, "b", "c"))
-    with pytest.raises(PreconditionError):
-        alpha_separate(a7, mask_of(a7, "0", "1"), mask_of(a7, "c"))
+        alpha_separate(a7, mask_of(a7, "0", "1"), c)
 
 
 @pytest.mark.parametrize("key", sorted(tb.ALL_TABLES))

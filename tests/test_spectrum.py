@@ -75,27 +75,26 @@ def test_min_over_examples(a7):
 
 
 def test_separate_deterministic_tiebreak(a7):
-    # both minimal primes avoid {c}; the one reachable through the
+    # both minimal primes avoid c; the one reachable through the
     # earliest absorbable element wins
+    c = a7.names.index("c")
     f2 = mask_of(a7, "b", "d", "1")
-    assert separate(a7, mask_of(a7, "1"), mask_of(a7, "c")) == f2
-    assert separate(a7, mask_of(a7, "e", "1"), mask_of(a7, "c")) == mask_of(a7, "e", "1")
+    assert separate(a7, mask_of(a7, "1"), c) == f2
+    assert separate(a7, mask_of(a7, "e", "1"), c) == mask_of(a7, "e", "1")
 
 
 def test_separate_fixed_point_for_primes(a7):
+    # a prime's complement is a lattice ideal, the down-set of its join
     for p in prime_filters(a7):
         comp = a7.universe & ~p
-        assert separate(a7, p, comp) == p
+        assert separate(a7, p, a7.join_of(comp)) == p
 
 
 def test_separate_preconditions(a7):
     with pytest.raises(PreconditionError):
-        separate(a7, mask_of(a7, "1"), 0)
+        separate(a7, mask_of(a7, "e", "1"), a7.names.index("e"))
     with pytest.raises(PreconditionError):
-        # {b, c} is not join-closed: b v c = d escapes
-        separate(a7, mask_of(a7, "1"), mask_of(a7, "b", "c"))
-    with pytest.raises(PreconditionError):
-        separate(a7, mask_of(a7, "e", "1"), mask_of(a7, "e"))
+        separate(a7, mask_of(a7, "0", "1"), a7.names.index("c"))
 
 
 def test_minimality_routes(a7):

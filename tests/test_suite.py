@@ -95,6 +95,14 @@ def test_reports_deterministic(a7):
      lambda a: (mask_of(a, "e", "1"), a.names.index("d")),
      lambda a, f: f ^ singleton(a.bottom),
      "fails at extension antitone at a <= d"),
+    ("prime-separation", "separate",
+     lambda a: (mask_of(a, "1"), a.names.index("d")),
+     lambda a, f: mask_of(a, "b", "d", "1"),
+     "fails at separating {1} from {0, a, b, c, d}"),
+    ("prime-alpha-four-way", "alpha_separate",
+     lambda a: (mask_of(a, "1"), a.names.index("d")),
+     lambda a, f: mask_of(a, "b", "d", "1"),
+     "fails at separation of {1} from {0, a, b, c, d} lands on a prime"),
 ])
 def test_failing_law_describes_the_failing_instance(a7, monkeypatch, ident, name,
                                                      at, spoil, witness):
@@ -111,6 +119,20 @@ def test_failing_law_describes_the_failing_instance(a7, monkeypatch, ident, name
     (report,) = verify_suite(a7, (ident,))
     assert (report.passed, report.sides) == (False, (("holds", False),))
     assert report.witness == witness
+
+
+def test_separations_fail_when_nothing_is_separated(a7, monkeypatch):
+    """Both separation statements check that the filter they grow is a
+    prime; a separation that returns its input filter fails at the first
+    filter that is not one, named with the down-set it avoids."""
+    monkeypatch.setattr(suite, "separate", lambda alg, f, c: f)
+    monkeypatch.setattr(suite, "alpha_separate", lambda alg, f, c: f)
+    reports = verify_suite(a7, idents=("prime-separation", "prime-alpha-four-way"))
+    assert [(r.passed, r.sides, r.witness) for r in reports] == [
+        (False, (("holds", False),), "fails at separating {1} from {0}"),
+        (False, (("holds", False),),
+         "fails at separation of {1} from {0} lands on a prime"),
+    ]
 
 
 def test_omega_construction_states_distributivity(a7, monkeypatch):
