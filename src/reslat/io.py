@@ -15,8 +15,9 @@ by row:
                   prod:, impl: the same way)
 
 Blank lines are free.  A stream holds several documents separated by
-lines containing only ``---``.  Parsing is strict: every problem is
-reported with its line number, and unknown names are gathered
+lines containing only ``---``; a stream of comments alone, as a search
+that matched nothing renders, holds none.  Parsing is strict: every
+problem is reported with its line number, and unknown names are gathered
 exhaustively rather than stopping at the first.  Rendering produces one
 canonical form, and parsing a rendered document returns the identical
 algebra.
@@ -171,6 +172,8 @@ def _split(text: str):
             starts.append(lineno + 1)
             continue
         docs[-1].append((lineno, stripped))
+    if len(docs) == 1 and not any(t for _, t in docs[0]) and text.strip():
+        return []
     if len(docs) > 1 and not any(t for _, t in docs[-1]):
         docs.pop()
         starts.pop()

@@ -2,12 +2,13 @@
 
 Direct transcriptions of the definitions as subset scans over frozensets
 of element indices.  Deliberately independent of the package under test:
-nothing here imports reslat.  Exponential in places; only run on the
-small bundled algebras.
+nothing here imports reslat.  Exponential in places; only run on small
+algebras.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations, product
 
 
@@ -127,8 +128,16 @@ def is_filter(t, s):
 
 
 def filters(t):
-    return sorted((s for s in all_subsets(t) if is_filter(t, s)),
-                  key=lambda s: (len(s), sorted(s)))
+    return list(_filters(tuple(t.items())))
+
+
+@cache
+def _filters(items):
+    """The filter scan of one algebra, kept for the subset-by-subset
+    oracles that read it once per subset."""
+    t = dict(items)
+    return tuple(sorted((s for s in all_subsets(t) if is_filter(t, s)),
+                        key=lambda s: (len(s), sorted(s))))
 
 
 def generated(t, xs):
@@ -323,7 +332,13 @@ def is_alpha(t, f):
 
 
 def alpha_filters(t):
-    return [f for f in filters(t) if is_alpha(t, f)]
+    return list(_alpha_filters(tuple(t.items())))
+
+
+@cache
+def _alpha_filters(items):
+    t = dict(items)
+    return tuple(f for f in filters(t) if is_alpha(t, f))
 
 
 def alpha_closure(t, xs):

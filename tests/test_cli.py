@@ -243,6 +243,24 @@ def test_search_render_round_trips(capsys):
     assert docs[0].algebra.n == 3
 
 
+def test_empty_search_result_verifies(capsys, monkeypatch):
+    """A search that matches nothing renders comments alone, and the
+    commands reading it see no documents: exit 0, empty reports."""
+    import io as stdlib_io
+    code, rendered = run(capsys, "search", "--max-size", "3", "--predicate",
+                         "not quasicomplemented", "--render")
+    assert code == 0 and rendered.startswith("#")
+    for fmt, want in (("text", ""), ("json", {"algebras": [], "command": "verify"})):
+        monkeypatch.setattr("sys.stdin", stdlib_io.StringIO(rendered))
+        code, out = run(capsys, "verify", "-", "--format", fmt)
+        assert code == 0
+        assert (out if fmt == "text" else json.loads(out)) == want
+    monkeypatch.setattr("sys.stdin", stdlib_io.StringIO(rendered))
+    assert run(capsys, "validate", "-", "--format", "json")[0] == 0
+    monkeypatch.setattr("sys.stdin", stdlib_io.StringIO("\n  \n"))
+    assert run(capsys, "verify", "-")[0] == 64
+
+
 def test_search_argument_validation(capsys):
     assert main(["search", "--max-size", "9"]) == 64
     capsys.readouterr()

@@ -113,7 +113,12 @@ def test_empty_stream():
     with pytest.raises(ParseError, match="line 1: empty stream"):
         parse_stream("")
     with pytest.raises(ParseError, match="line 1: empty stream"):
-        parse_stream("# only a comment\n")
+        parse_stream("\n   \n")
+    # Comments alone, as a search that matched nothing renders, hold no
+    # documents; one document is still required where one is expected.
+    assert parse_stream("# only a comment\n\n# and another\n") == ()
+    with pytest.raises(ParseError, match="expected one document, found 0"):
+        parse_document("# only a comment\n")
 
 
 def test_parse_document_rejects_streams():

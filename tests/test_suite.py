@@ -89,8 +89,18 @@ def test_reports_deterministic(a7):
 
 @pytest.mark.parametrize("ident, name, at, spoil, witness", [
     ("filters-closure-system", "generated_filter",
-     lambda a: (mask_of(a, "b", "c"),), lambda a, f: f & ~singleton(a.top),
-     "fails at generated filter of {b, c} is a filter"),
+     lambda a: (mask_of(a, "b"),), lambda a, f: f & ~singleton(a.top),
+     "fails at generated filter of {b} is a filter"),
+    ("finite-principality", "extend_filter",
+     lambda a: (mask_of(a, "e", "1"), a.names.index("d")),
+     lambda a, f: f ^ singleton(a.bottom),
+     "fails at extension of {e, 1} by d vs its product"),
+    ("coannihilator-galois", "coannihilator",
+     lambda a: (mask_of(a, "b", "d"),), lambda a, f: f | singleton(a.bottom),
+     "fails at antitone from {b} into {b, d}"),
+    ("alpha-closure-laws", "alpha_closure",
+     lambda a: (mask_of(a, "e", "1"),), lambda a, f: f | singleton(a.bottom),
+     "fails at idempotent at {e, 1}"),
     ("filter-extension-law", "extend_filter",
      lambda a: (mask_of(a, "e", "1"), a.names.index("d")),
      lambda a, f: f ^ singleton(a.bottom),
