@@ -6,8 +6,9 @@ one multi-document file of every algebra on at most five elements
 (``catalog5.alg``, rendered from the search), the 12-element
 Lukasiewicz and Goedel chains, the 64-element Lukasiewicz chain and
 Boolean algebra, and ``broken.alg``: documents with corrupted tables,
-among them one for each law checked over triples.  Any change to a
-report's bytes, text or json, fails here.
+among them one for each law checked over triples.  ``search`` is
+replayed through carrier 5: text, json, rendered, and under a predicate.
+Any change to a report's bytes, text or json, fails here.
 
 After a deliberate output change, rewrite the file with
 
@@ -40,6 +41,12 @@ SMALL_INPUTS = ("a7", "bool4", "chain2", "chain3", "catalog5.alg")
 LARGE_COMMANDS = ("info", "coann", "classify")
 LARGE_INPUTS = ("luk12.alg", "godel12.alg")
 VALIDATE_INPUTS = ("broken.alg", "luk64.alg", "boolean6.alg")
+SEARCH_LINES = (
+    "search --max-size 5",
+    "search --max-size 5 --format json",
+    "search --max-size 5 --render",
+    "search --max-size 5 --predicate (weakly_disjunctive)and(not(disjunctive))",
+)
 
 # Each document of broken.alg: (label, bundled algebra, table, cells),
 # the table's entry at (x, y) set to v for every (x, y, v) in cells.
@@ -101,7 +108,7 @@ def command_lines() -> list[str]:
         for cmd in LARGE_COMMANDS:
             lines.extend(f"{cmd} {src}{fmt}" for src in LARGE_INPUTS)
         lines.extend(f"validate {src}{fmt}" for src in VALIDATE_INPUTS)
-    return lines
+    return lines + list(SEARCH_LINES)
 
 
 def replay(line: str) -> dict:
