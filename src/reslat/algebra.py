@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from functools import cached_property, wraps
 
-from .record import Record, setfield
+from .record import Record
 from .subsets import contains, elements, from_elements, full_set, render
 
 Table = tuple[tuple[int, ...], ...]
@@ -30,12 +30,9 @@ Table = tuple[tuple[int, ...], ...]
 class AxiomViolation(Record):
     """One violated law with a concrete witness tuple of element indices."""
 
-    _fields = ("law", "witness", "detail")
-
-    def __init__(self, law: str, witness: tuple[int, ...], detail: str):
-        setfield(self, "law", law)
-        setfield(self, "witness", witness)
-        setfield(self, "detail", detail)
+    law: str
+    witness: tuple[int, ...]
+    detail: str
 
 
 class InvalidAlgebraError(ValueError):
@@ -237,21 +234,15 @@ class ResiduatedLattice(Record):
     part in equality, and is freed with the instance.
     """
 
-    _fields = ("names", "join", "meet", "prod", "impl", "bottom", "top",
-               "up", "down")
-
-    def __init__(self, names: tuple[str, ...], join: Table, meet: Table,
-                 prod: Table, impl: Table, bottom: int, top: int,
-                 up: tuple[int, ...], down: tuple[int, ...]):
-        setfield(self, "names", names)
-        setfield(self, "join", join)
-        setfield(self, "meet", meet)
-        setfield(self, "prod", prod)
-        setfield(self, "impl", impl)
-        setfield(self, "bottom", bottom)
-        setfield(self, "top", top)
-        setfield(self, "up", up)
-        setfield(self, "down", down)
+    names: tuple[str, ...]
+    join: Table
+    meet: Table
+    prod: Table
+    impl: Table
+    bottom: int
+    top: int
+    up: tuple[int, ...]
+    down: tuple[int, ...]
 
     @property
     def n(self) -> int:

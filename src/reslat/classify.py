@@ -29,7 +29,7 @@ from .filters import (
     principal_filter,
     principal_generator,
 )
-from .record import Record, setfield
+from .record import Record
 from .spectrum import (
     cohull,
     dual_hull_topology,
@@ -58,15 +58,11 @@ DUAL_HOM = "dual lattice homomorphism"
 class MapReport(Record):
     """One structure map: what it preserves and how it sorts."""
 
-    _fields = ("name", "kind", "injective", "surjective", "pairs")
-
-    def __init__(self, name: str, kind: str, injective: bool, surjective: bool,
-                 pairs: tuple[tuple[object, object], ...]):
-        setfield(self, "name", name)
-        setfield(self, "kind", kind)
-        setfield(self, "injective", injective)
-        setfield(self, "surjective", surjective)
-        setfield(self, "pairs", pairs)
+    name: str
+    kind: str
+    injective: bool
+    surjective: bool
+    pairs: tuple[tuple[object, object], ...]
 
     @property
     def bijective(self) -> bool:
@@ -190,19 +186,12 @@ def congruence_classes_named(alg: ResiduatedLattice, cong: Congruence,
 class ClassificationResult(Record):
     """Verdicts with every route's answer retained."""
 
-    _fields = ("quasicomplemented", "disjunctive", "weakly_disjunctive",
-               "lattice_boolean", "filter_lattice_boolean", "routes")
-
-    def __init__(self, quasicomplemented: bool, disjunctive: bool,
-                 weakly_disjunctive: bool, lattice_boolean: bool,
-                 filter_lattice_boolean: bool,
-                 routes: dict[str, tuple[tuple[str, bool], ...]]):
-        setfield(self, "quasicomplemented", quasicomplemented)
-        setfield(self, "disjunctive", disjunctive)
-        setfield(self, "weakly_disjunctive", weakly_disjunctive)
-        setfield(self, "lattice_boolean", lattice_boolean)
-        setfield(self, "filter_lattice_boolean", filter_lattice_boolean)
-        setfield(self, "routes", routes)
+    quasicomplemented: bool
+    disjunctive: bool
+    weakly_disjunctive: bool
+    lattice_boolean: bool
+    filter_lattice_boolean: bool
+    routes: dict[str, tuple[tuple[str, bool], ...]]
 
 
 def _injective(images) -> bool:

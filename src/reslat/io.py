@@ -29,7 +29,7 @@ from collections.abc import Iterator
 
 from .algebra import InvalidAlgebraError, ResiduatedLattice, validate
 from .errors import PreconditionError
-from .record import Record, setfield
+from .record import Record
 
 SECTION_NAMES = ("label", "elements", "bottom", "top")
 TABLE_NAMES = ("join", "meet", "prod", "impl")
@@ -44,11 +44,8 @@ class ParseError(PreconditionError):
 class NamedAlgebra(Record):
     """An algebra together with the label its document carried."""
 
-    _fields = ("label", "algebra")
-
-    def __init__(self, label: str | None, algebra: ResiduatedLattice):
-        setfield(self, "label", label)
-        setfield(self, "algebra", algebra)
+    label: str | None
+    algebra: ResiduatedLattice
 
 
 def _strip(line: str) -> str:
@@ -200,13 +197,9 @@ class DocumentCheck(Record):
     """One document's validation verdict: the algebra when the tables
     satisfy every law, otherwise the list of violations."""
 
-    _fields = ("label", "algebra", "violations")
-
-    def __init__(self, label: str | None, algebra: ResiduatedLattice | None,
-                 violations: tuple):
-        setfield(self, "label", label)
-        setfield(self, "algebra", algebra)
-        setfield(self, "violations", violations)
+    label: str | None
+    algebra: ResiduatedLattice | None
+    violations: tuple
 
     @property
     def valid(self) -> bool:

@@ -38,7 +38,7 @@ from operator import itemgetter
 from .algebra import ResiduatedLattice
 from .classify import VERDICTS, ClassificationResult
 from .errors import PreconditionError
-from .record import Record, setfield
+from .record import Record
 
 MAX_CARRIER = 8
 
@@ -48,13 +48,9 @@ _MIDDLE_NAMES = "abcdefg"
 class LatticeSkeleton(Record):
     """A bounded lattice on 0..n-1 in canonical form, bottom 0, top n-1."""
 
-    _fields = ("n", "join", "meet")
-
-    def __init__(self, n: int, join: tuple[tuple[int, ...], ...],
-                 meet: tuple[tuple[int, ...], ...]):
-        setfield(self, "n", n)
-        setfield(self, "join", join)
-        setfield(self, "meet", meet)
+    n: int
+    join: tuple[tuple[int, ...], ...]
+    meet: tuple[tuple[int, ...], ...]
 
     def leq(self, x: int, y: int) -> bool:
         return self.meet[x][y] == x
@@ -70,24 +66,15 @@ class SearchStats(Record):
     iso_rejected.
     """
 
-    _fields = ("examined", "pruned", "found", "emitted", "iso_rejected")
-
-    def __init__(self, examined: int, pruned: int, found: int, emitted: int,
-                 iso_rejected: int):
-        setfield(self, "examined", examined)
-        setfield(self, "pruned", pruned)
-        setfield(self, "found", found)
-        setfield(self, "emitted", emitted)
-        setfield(self, "iso_rejected", iso_rejected)
+    examined: int
+    pruned: int
+    found: int
+    emitted: int
+    iso_rejected: int
 
     def __add__(self, other: "SearchStats") -> "SearchStats":
-        return SearchStats(
-            self.examined + other.examined,
-            self.pruned + other.pruned,
-            self.found + other.found,
-            self.emitted + other.emitted,
-            self.iso_rejected + other.iso_rejected,
-        )
+        return SearchStats(*(getattr(self, f) + getattr(other, f)
+                             for f in self._fields))
 
 
 ZERO_STATS = SearchStats(0, 0, 0, 0, 0)
@@ -519,13 +506,9 @@ def parse_predicate(src: str):
 class MineResult(Record):
     """Matching algebras plus the work done finding them."""
 
-    _fields = ("matches", "lattices", "stats")
-
-    def __init__(self, matches: tuple[ResiduatedLattice, ...], lattices: int,
-                 stats: SearchStats):
-        setfield(self, "matches", matches)
-        setfield(self, "lattices", lattices)
-        setfield(self, "stats", stats)
+    matches: tuple[ResiduatedLattice, ...]
+    lattices: int
+    stats: SearchStats
 
 
 def mine(predicate: str, n_max: int, n_min: int = 1) -> MineResult:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from .algebra import ResiduatedLattice, derived
 from .errors import PreconditionError
 from .filters import all_filters, extend_filter, is_filter
-from .record import Record, setfield
+from .record import Record
 from .subsets import contains, elements, full_set, singleton, sort_family
 
 
@@ -157,11 +157,8 @@ def kernel_filter(alg: ResiduatedLattice, points: int) -> int:
 class Topology(Record):
     """Opens over the minimal-prime points."""
 
-    _fields = ("points", "opens")
-
-    def __init__(self, points: tuple[int, ...], opens: tuple[int, ...]):
-        setfield(self, "points", points)
-        setfield(self, "opens", opens)
+    points: tuple[int, ...]
+    opens: tuple[int, ...]
 
     @property
     def space(self) -> int:

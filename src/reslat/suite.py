@@ -61,7 +61,7 @@ from .filters import (
     principal_generator,
     proper_filters,
 )
-from .record import Record, setfield
+from .record import Record
 from .spectrum import (
     cohull,
     dual_hull_topology,
@@ -94,16 +94,11 @@ from .views import (
 class TheoremReport(Record):
     """Outcome of one verified statement on one algebra."""
 
-    _fields = ("ident", "statement", "sides", "passed", "witness")
-
-    def __init__(self, ident: str, statement: str,
-                 sides: tuple[tuple[str, bool], ...], passed: bool,
-                 witness: str):
-        setfield(self, "ident", ident)
-        setfield(self, "statement", statement)
-        setfield(self, "sides", sides)
-        setfield(self, "passed", passed)
-        setfield(self, "witness", witness)
+    ident: str
+    statement: str
+    sides: tuple[tuple[str, bool], ...]
+    passed: bool
+    witness: str
 
 
 def _law(checks) -> tuple[tuple[tuple[str, bool], ...], bool, str]:

@@ -14,7 +14,7 @@ from functools import reduce
 
 from .algebra import derived
 from .errors import InternalCheckError, PreconditionError
-from .record import Record, setfield
+from .record import Record
 
 Key = Hashable
 
@@ -26,17 +26,12 @@ class LatticeView(Record):
     memoise on a view stays true of it.
     """
 
-    _fields = ("name", "keys", "join", "meet", "bottom", "top")
-
-    def __init__(self, name: str, keys: tuple[Key, ...],
-                 join: tuple[tuple[int, ...], ...],
-                 meet: tuple[tuple[int, ...], ...], bottom: int, top: int):
-        setfield(self, "name", name)
-        setfield(self, "keys", keys)
-        setfield(self, "join", join)
-        setfield(self, "meet", meet)
-        setfield(self, "bottom", bottom)
-        setfield(self, "top", top)
+    name: str
+    keys: tuple[Key, ...]
+    join: tuple[tuple[int, ...], ...]
+    meet: tuple[tuple[int, ...], ...]
+    bottom: int
+    top: int
 
     @property
     def n(self) -> int:
@@ -163,10 +158,7 @@ def is_sublattice(sub: LatticeView, sup: LatticeView) -> bool:
 class Congruence(Record):
     """A partition of a view's nodes compatible with both operations."""
 
-    _fields = ("classes",)
-
-    def __init__(self, classes: tuple[tuple[int, ...], ...]):
-        setfield(self, "classes", classes)
+    classes: tuple[tuple[int, ...], ...]
 
     def class_of(self, i: int) -> tuple[int, ...]:
         for c in self.classes:

@@ -1,8 +1,10 @@
 """Behaviour of the package's immutable records.
 
-Equal records compare and hash alike, no field can be reassigned or
-deleted, and the per-instance memo (``algebra.derived`` and
-``cached_property``) keeps each value it computed.
+Each record class declares its fields once, as annotations, and the
+one constructor takes them by position or by name.  Equal records
+compare and hash alike, no field can be reassigned or deleted, and the
+per-instance memo (``algebra.derived`` and ``cached_property``) keeps
+each value it computed.
 """
 
 from __future__ import annotations
@@ -12,9 +14,34 @@ import pytest
 import tables as tb
 from conftest import build
 from reslat import validate
+from reslat.algebra import AxiomViolation, ResiduatedLattice
+from reslat.classify import ClassificationResult, MapReport
 from reslat.filters import all_filters
-from reslat.search import ZERO_STATS, SearchStats
-from reslat.views import view_filters, view_from_tables
+from reslat.io import DocumentCheck, NamedAlgebra
+from reslat.search import ZERO_STATS, LatticeSkeleton, MineResult, SearchStats
+from reslat.spectrum import Topology
+from reslat.suite import TheoremReport
+from reslat.views import Congruence, LatticeView, view_filters, view_from_tables
+
+# Field order feeds repr, equality and hashing, so it is pinned here.
+FIELDS = {
+    AxiomViolation: ("law", "witness", "detail"),
+    ResiduatedLattice: ("names", "join", "meet", "prod", "impl", "bottom",
+                        "top", "up", "down"),
+    MapReport: ("name", "kind", "injective", "surjective", "pairs"),
+    ClassificationResult: ("quasicomplemented", "disjunctive",
+                           "weakly_disjunctive", "lattice_boolean",
+                           "filter_lattice_boolean", "routes"),
+    NamedAlgebra: ("label", "algebra"),
+    DocumentCheck: ("label", "algebra", "violations"),
+    LatticeSkeleton: ("n", "join", "meet"),
+    SearchStats: ("examined", "pruned", "found", "emitted", "iso_rejected"),
+    MineResult: ("matches", "lattices", "stats"),
+    Topology: ("points", "opens"),
+    TheoremReport: ("ident", "statement", "sides", "passed", "witness"),
+    LatticeView: ("name", "keys", "join", "meet", "bottom", "top"),
+    Congruence: ("classes",),
+}
 
 
 def _fields(alg):
@@ -89,3 +116,32 @@ def test_derived_and_cached_property_memoise():
     ups = view_filters(view)
     assert view_filters(view) is ups
     assert ups == (0b100, 0b110, 0b111)
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_fields_are_declared_in_order(cls):
+    assert cls._fields == FIELDS[cls]
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_positional_and_keyword_construction_agree(cls):
+    values = [f"v{i}" for i in range(len(cls._fields))]
+    by_position = cls(*values)
+    by_name = cls(**dict(zip(cls._fields, values)))
+    mixed = cls(values[0], **dict(zip(cls._fields[1:], values[1:])))
+    assert by_position == by_name == mixed
+    assert hash(by_position) == hash(by_name)
+    assert repr(by_position) == repr(by_name)
+    assert tuple(getattr(by_name, f) for f in cls._fields) == tuple(values)
+
+
+@pytest.mark.parametrize("args, kwargs, message", [
+    ((1, 2, 3, 4, 5, 6), {}, "takes 5 fields, 6 given"),
+    ((1, 2, 3, 4), {}, "missing fields: iso_rejected"),
+    ((1, 2, 3), {"emitted": 4}, "missing fields: iso_rejected"),
+    ((1, 2, 3, 4, 5), {"extra": 6}, "no field 'extra'"),
+    ((1, 2, 3, 4), {"examined": 5}, "field 'examined' twice"),
+])
+def test_bad_construction_raises_type_error(args, kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        SearchStats(*args, **kwargs)
