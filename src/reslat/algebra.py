@@ -23,6 +23,9 @@ from .subsets import contains, elements, from_elements, full_set, render
 
 Table = tuple[tuple[int, ...], ...]
 
+# A subset of the carrier is one int used as a 64-bit vector.
+MAX_ELEMENTS = 64
+
 # Conventional exponent base case: the empty product is the monoid unit,
 # so power(x, 0) == top for every x.
 
@@ -48,8 +51,9 @@ def _check_shape(names, join, meet, prod, impl, bottom, top) -> int:
     n = len(names)
     if n == 0:
         raise ValueError("empty carrier")
-    if n > 64:
-        raise ValueError(f"carrier size {n} exceeds the bit-vector width of 64")
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"carrier size {n} exceeds the bit-vector width of "
+                         f"{MAX_ELEMENTS}")
     if len(set(names)) != n:
         raise ValueError("duplicate element names")
     for label, t in (("join", join), ("meet", meet), ("prod", prod), ("impl", impl)):

@@ -89,8 +89,9 @@ def _read_source(token: str) -> tuple[str, str]:
 
 
 def _label_docs(stem, docs):
-    """(label, algebra) per document: its own label, else the source's
+    """(label, document) per document: its own label, else the source's
     stem, numbered when the source holds more than one document."""
+    docs = iter(docs)
     ahead = next(docs, None)
     i = 0
     while ahead is not None:
@@ -99,7 +100,7 @@ def _label_docs(stem, docs):
         label = doc.label
         if label is None:
             label = stem if i == 1 and ahead is None else f"{stem}#{i}"
-        yield label, doc.algebra
+        yield label, doc
 
 
 def _load_algebras(tokens) -> Iterator[tuple[str, ResiduatedLattice]]:
@@ -107,7 +108,8 @@ def _load_algebras(tokens) -> Iterator[tuple[str, ResiduatedLattice]]:
     for token in tokens:
         stem, text = _read_source(token)
         try:
-            yield from _label_docs(stem, iter_stream(text))
+            for label, doc in _label_docs(stem, iter_stream(text)):
+                yield label, doc.algebra
         except InvalidAlgebraError as exc:
             raise _DomainError(f"{token}: {exc}") from exc
 
@@ -120,11 +122,7 @@ def _cmd_validate(args) -> int:
     bad = 0
     for token in args.inputs:
         stem, text = _read_source(token)
-        checks = check_stream(text)
-        for i, ck in enumerate(checks, start=1):
-            label = ck.label
-            if label is None:
-                label = stem if len(checks) == 1 else f"{stem}#{i}"
+        for label, ck in _label_docs(stem, check_stream(text)):
             item = {"label": label, "valid": ck.valid}
             if ck.valid:
                 rep.line(f"{label}: valid ({ck.algebra.n} elements)")

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 
-from .algebra import InvalidAlgebraError, ResiduatedLattice, validate
+from .algebra import (MAX_ELEMENTS, InvalidAlgebraError, ResiduatedLattice,
+                      validate)
 from .errors import PreconditionError
 from .record import Record
 
@@ -78,6 +79,10 @@ def _parse_one(lines, offset: int):
                 elements_line = lineno
                 if not names:
                     raise ParseError(f"line {lineno}: no element names given")
+                if len(names) > MAX_ELEMENTS:
+                    raise ParseError(
+                        f"line {lineno}: {len(names)} elements given; "
+                        f"at most {MAX_ELEMENTS} are supported")
                 dupes = sorted({v for v in names if names.count(v) > 1})
                 if dupes:
                     raise ParseError(
@@ -179,20 +184,6 @@ def _split(text: str):
     return list(zip(docs, starts))
 
 
-def iter_stream(text: str) -> Iterator[NamedAlgebra]:
-    """Every document in the text, in order, each parsed when reached."""
-    for doc, start in _split(text):
-        label, names, tables, bottom, top = _parse_one(doc, start)
-        alg = validate(names, tables["join"], tables["meet"],
-                       tables["prod"], tables["impl"], bottom, top)
-        yield NamedAlgebra(label, alg)
-
-
-def parse_stream(text: str) -> tuple[NamedAlgebra, ...]:
-    """Every document in the text, in order."""
-    return tuple(iter_stream(text))
-
-
 class DocumentCheck(Record):
     """One document's validation verdict: the algebra when the tables
     satisfy every law, otherwise the list of violations."""
@@ -206,23 +197,40 @@ class DocumentCheck(Record):
         return self.algebra is not None
 
 
-def check_stream(text: str) -> tuple[DocumentCheck, ...]:
-    """Validate every document, collecting violations instead of raising.
-
-    Malformed text (unparseable, unknown names) still raises ParseError;
-    only algebraic law failures are downgraded to a verdict.
-    """
-    out = []
+def _checks(text: str) -> Iterator[DocumentCheck]:
+    """Every document's verdict, in order, each parsed when reached."""
     for doc, start in _split(text):
         label, names, tables, bottom, top = _parse_one(doc, start)
         try:
             alg = validate(names, tables["join"], tables["meet"],
                            tables["prod"], tables["impl"], bottom, top)
         except InvalidAlgebraError as exc:
-            out.append(DocumentCheck(label, None, tuple(exc.violations)))
+            yield DocumentCheck(label, None, exc.violations)
         else:
-            out.append(DocumentCheck(label, alg, ()))
-    return tuple(out)
+            yield DocumentCheck(label, alg, ())
+
+
+def check_stream(text: str) -> tuple[DocumentCheck, ...]:
+    """Validate every document, collecting violations instead of raising.
+
+    Malformed text (unparseable, unknown names) still raises ParseError;
+    only algebraic law failures are downgraded to a verdict.
+    """
+    return tuple(_checks(text))
+
+
+def iter_stream(text: str) -> Iterator[NamedAlgebra]:
+    """Every document in the text, in order, each parsed when reached;
+    the first invalid one raises InvalidAlgebraError."""
+    for check in _checks(text):
+        if not check.valid:
+            raise InvalidAlgebraError(check.violations)
+        yield NamedAlgebra(check.label, check.algebra)
+
+
+def parse_stream(text: str) -> tuple[NamedAlgebra, ...]:
+    """Every document in the text, in order."""
+    return tuple(iter_stream(text))
 
 
 def render_algebra(alg: ResiduatedLattice, label: str | None = None) -> str:

@@ -301,6 +301,38 @@ def test_stdin_input(capsys, monkeypatch):
     assert out.startswith("stdin: 3 elements")
 
 
+def _chain_document(n: int) -> str:
+    """The n-element Lukasiewicz chain as document text, never validated."""
+    rng, top = range(n), n - 1
+    ops = {"join": max, "meet": min,
+           "prod": lambda x, y: max(0, x + y - top),
+           "impl": lambda x, y: min(top, top - x + y)}
+    lines = [f"label: luk{n}", "elements: " + " ".join(map(str, rng)),
+             "bottom: 0", f"top: {top}"]
+    for key, op in ops.items():
+        lines.append(f"{key}:")
+        lines.extend(" ".join(str(op(x, y)) for y in rng) for x in rng)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "info", "filters", "spectrum",
+                                     "coann", "alpha", "classify", "verify"])
+def test_documents_over_64_elements_are_refused(capsys, tmp_path, command):
+    path = tmp_path / "luk65.alg"
+    path.write_text(_chain_document(65))
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (64, "")
+    assert err.startswith(
+        "parse error: line 2: 65 elements given; at most 64 are supported\n")
+
+
+def test_documents_of_64_elements_are_read(capsys, tmp_path):
+    path = tmp_path / "luk64.alg"
+    path.write_text(_chain_document(64))
+    assert run(capsys, "validate", str(path)) == (0, "luk64: valid (64 elements)\n")
+
+
 def test_multi_document_labels(capsys, tmp_path):
     stream = render_stream((NamedAlgebra(None, build(tb.CHAIN2)),
                             NamedAlgebra(None, build(tb.CHAIN3))))
