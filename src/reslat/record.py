@@ -19,7 +19,7 @@ class Record:
     _fields = ()
 
     def __init_subclass__(cls):
-        # Only the class's own annotations: the names, never evaluated.
+        # The class's own annotations, in order; only their names are read.
         cls._fields = tuple(cls.__annotations__)
         cls._values = attrgetter(*cls._fields)
 
