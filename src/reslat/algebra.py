@@ -70,6 +70,16 @@ def _check_shape(names, join, meet, prod, impl, bottom, top) -> int:
     return n
 
 
+def byte_rows(table) -> tuple[list[bytes], list[bytes]]:
+    """A table's rows as bytes, and each row padded to 256 bytes so that
+    ``s.translate(padded[r])`` is the row ``r[s[z]]`` over all z.
+
+    Entries are element indices, below n <= 64, or truth values.
+    """
+    rows = [bytes(r) for r in table]
+    return rows, [r.ljust(256, b"\0") for r in rows]
+
+
 def check_tables(names, join, meet, prod, impl, bottom, top) -> list[AxiomViolation]:
     """Return every violated axiom with a witness, empty list if valid.
 
@@ -137,12 +147,11 @@ def check_tables(names, join, meet, prod, impl, bottom, top) -> list[AxiomViolat
                 bad("prod-below-meet", (x, y),
                     f"{nm(x)} * {nm(y)} = {nm(prod[x][y])} not below {nm(x)} ^ {nm(y)}")
 
-    # Row r of a table as bytes (entries are below n <= 64), and padded
-    # to 256 bytes so that s.translate(rt) is the row r[s[z]] over all z.
-    J, M, P, I = ([bytes(r) for r in t] for t in (join, meet, prod, impl))
-    L = [bytes(leq(a, z) for z in rng) for a in rng]  # L[a][z]: a <= z
-    pad = bytes(256 - n)
-    Jt, Mt, Pt, Lt = ([r + pad for r in t] for t in (J, M, P, L))
+    J, Jt = byte_rows(join)
+    M, Mt = byte_rows(meet)
+    P, Pt = byte_rows(prod)
+    I = byte_rows(impl)[0]
+    L, Lt = byte_rows([[leq(a, z) for z in rng] for a in rng])  # L[a][z]: a <= z
     below = {(a, b) for a in rng for b in rng if leq(a, b)}
 
     for x in rng:
@@ -321,6 +330,19 @@ class ResiduatedLattice(Record):
         top = self.top
         return tuple(from_elements(y for y, j in enumerate(row) if j == top)
                      for row in self.join)
+
+    @cached_property
+    def double_coannulets(self) -> tuple[int, ...]:
+        """double_coannulets[x] is the subset of y joining every member
+        of coannulets[x] to top: the double coannihilator of x."""
+        perps = self.coannulets
+        out = []
+        for c in perps:
+            acc = self.universe
+            for y in elements(c):
+                acc &= perps[y]
+            out.append(acc)
+        return tuple(out)
 
     def product_of(self, mask: int) -> int:
         """Product of the members of a subset; top for the empty subset."""

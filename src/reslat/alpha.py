@@ -16,7 +16,7 @@ the other three characterizations of the theorem.
 from __future__ import annotations
 
 from .algebra import ResiduatedLattice, derived
-from .coann import coannulet, coannulet_lattice, double_coannihilator
+from .coann import coannulet, coannulet_lattice
 from .errors import PreconditionError
 from .filters import all_filters, generated_filter, is_filter
 from .spectrum import is_prime
@@ -28,8 +28,8 @@ def is_alpha_filter(alg: ResiduatedLattice, mask: int) -> bool:
     """Whether the filter swallows double coannihilators of its members."""
     if not is_filter(alg, mask):
         raise PreconditionError(f"not a filter: {alg.subset_str(mask)}")
-    return all(double_coannihilator(alg, singleton(x)) & ~mask == 0
-               for x in elements(mask))
+    dbl = alg.double_coannulets
+    return all(dbl[x] & ~mask == 0 for x in elements(mask))
 
 
 @derived
@@ -48,9 +48,10 @@ def alpha_closure(alg: ResiduatedLattice, mask: int) -> int:
 
 @derived
 def _closure_of_filter(alg: ResiduatedLattice, f_mask: int) -> int:
+    dbl = alg.double_coannulets
     out = 0
     for x in elements(f_mask):
-        out |= double_coannihilator(alg, singleton(x))
+        out |= dbl[x]
     return out
 
 
@@ -63,13 +64,14 @@ def alpha_extend(alg: ResiduatedLattice, f_mask: int, x: int) -> int:
     """
     if not is_filter(alg, f_mask):
         raise PreconditionError(f"not a filter: {alg.subset_str(f_mask)}")
+    dbl = alg.double_coannulets
     out = 0
     for f in elements(f_mask):
         acc = f
         seen = set()
         while acc not in seen:
             seen.add(acc)
-            out |= double_coannihilator(alg, singleton(acc))
+            out |= dbl[acc]
             acc = alg.prod[acc][x]
     return out
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .algebra import ResiduatedLattice, derived
 from .alpha import is_alpha_filter
-from .coann import coannulet_lattice, double_coannihilator
+from .coann import coannulet_lattice
 from .filters import (
     all_filters,
     filter_join,
@@ -220,8 +220,7 @@ def _primes_without_dense_are_minimal(alg: ResiduatedLattice) -> bool:
 def quasicomplemented(alg: ResiduatedLattice) -> bool:
     """Route: every element has a coannulet matching its double
     coannihilator."""
-    return all(double_coannihilator(alg, singleton(x)) in alg.coannulets
-               for x in range(alg.n))
+    return all(d in alg.coannulets for d in alg.double_coannulets)
 
 
 @derived

@@ -197,8 +197,14 @@ class DocumentCheck(Record):
         return self.algebra is not None
 
 
-def _checks(text: str) -> Iterator[DocumentCheck]:
-    """Every document's verdict, in order, each parsed when reached."""
+def check_stream(text: str) -> Iterator[DocumentCheck]:
+    """Validate every document, in order, each parsed when reached,
+    collecting violations instead of raising.
+
+    Malformed text (unparseable, unknown names) still raises ParseError
+    when it is reached; only algebraic law failures are downgraded to a
+    verdict.
+    """
     for doc, start in _split(text):
         label, names, tables, bottom, top = _parse_one(doc, start)
         try:
@@ -210,19 +216,10 @@ def _checks(text: str) -> Iterator[DocumentCheck]:
             yield DocumentCheck(label, alg, ())
 
 
-def check_stream(text: str) -> tuple[DocumentCheck, ...]:
-    """Validate every document, collecting violations instead of raising.
-
-    Malformed text (unparseable, unknown names) still raises ParseError;
-    only algebraic law failures are downgraded to a verdict.
-    """
-    return tuple(_checks(text))
-
-
 def iter_stream(text: str) -> Iterator[NamedAlgebra]:
     """Every document in the text, in order, each parsed when reached;
     the first invalid one raises InvalidAlgebraError."""
-    for check in _checks(text):
+    for check in check_stream(text):
         if not check.valid:
             raise InvalidAlgebraError(check.violations)
         yield NamedAlgebra(check.label, check.algebra)

@@ -12,13 +12,23 @@ generator of instances, ``@statement`` on a check that returns its own
 verdict, each with the statement's ident, group and text.  The
 decorators fill ``REGISTRY`` in definition order, which is the order
 ``verify`` reports in.
+
+A law's generator yields each instance as (describe, ok), or an int k
+standing for k instances checked at once that all hold; ``_law`` adds
+k to the instance count in one step.  The three laws of the arithmetic
+section are checked a row at a time: for one x, every y (and z) at
+once, with the tables as byte rows (``algebra.byte_rows``).  A row
+check holds exactly when every instance at x holds, and then yields
+their count.  Only an x whose row check fails is walked instance by
+instance, in the order of the full walk, so the instance count and the
+first failing instance are those of walking every instance.
 """
 
 from __future__ import annotations
 
 from functools import wraps
 
-from .algebra import ResiduatedLattice
+from .algebra import ResiduatedLattice, byte_rows
 from .alpha import (
     alpha_closure,
     alpha_extend,
@@ -113,11 +123,16 @@ def _law(checks) -> tuple[tuple[tuple[str, bool], ...], bool, str]:
     """Universal statement: every described instance must hold.
 
     Each instance comes as (describe, ok), describe a function returning
-    its text.  Only a failing instance is described, and before the
+    its text, or as an int k for k instances checked at once that all
+    hold.  Only a failing instance is described, and before the
     generator advances, while the loop variables it reads are current.
     """
     count = 0
-    for describe, ok in checks:
+    for check in checks:
+        if type(check) is int:
+            count += check
+            continue
+        describe, ok = check
         count += 1
         if not ok:
             return ((("holds", False),), False, f"fails at {describe()}")
@@ -152,7 +167,7 @@ def statement(ident: str, group: str, text: str):
 
 
 def law(ident: str, group: str, text: str):
-    """Register a generator of (describe, ok) instances, judged by _law."""
+    """Register a generator of instances, judged by _law."""
     def register(instances):
         @wraps(instances)
         def check(alg):
@@ -162,59 +177,117 @@ def law(ident: str, group: str, text: str):
 
 
 # -- section: residuation arithmetic ---------------------------------------
+# The first three laws are checked a row at a time (module docstring);
+# each ``_*_at`` generator is the walk over the instances at one x.
+
+def _order_pairs(alg):
+    """Every pair (a, b) with a <= b."""
+    return {(a, b) for a in range(alg.n) for b in elements(alg.up[a])}
+
 
 @law("residuation-basics", "arithmetic",
      "products and implications interlock through the adjunction")
 def _residuation_basics(alg):
-    rng = range(alg.n)
+    n, rng, top = alg.n, range(alg.n), alg.top
+    I, It = byte_rows(alg.impl)
+    P, Pt = byte_rows(alg.prod)
+    L = byte_rows([[alg.leq(a, z) for z in rng] for a in rng])[0]
+    is_top = bytes(v == top for v in range(256))
+    below = _order_pairs(alg)
+    impls = b"".join(I)
     for x in rng:
-        yield lambda: f"1 -> {alg.names[x]}", alg.impl[alg.top][x] == x
-        yield lambda: f"{alg.names[x]} -> 1", alg.impl[x][alg.top] == alg.top
-        for y in rng:
-            yield (lambda: f"{alg.names[x]} * ({alg.names[x]} -> {alg.names[y]})",
-                   alg.leq(alg.prod[x][alg.impl[x][y]], y))
-            yield (lambda: f"order vs implication at ({alg.names[x]}, "
-                           f"{alg.names[y]})",
-                   alg.leq(x, y) == (alg.impl[x][y] == alg.top))
-            yield (lambda: f"{alg.names[y]} below {alg.names[x]} -> {alg.names[y]}",
-                   alg.leq(y, alg.impl[x][y]))
-            for z in rng:
-                yield (lambda: f"currying at ({alg.names[x]}, {alg.names[y]}, "
-                               f"{alg.names[z]})",
-                       alg.impl[x][alg.impl[y][z]] == alg.impl[alg.prod[x][y]][z])
-                yield (lambda: f"implication chain at ({alg.names[x]}, "
-                               f"{alg.names[y]}, {alg.names[z]})",
-                       alg.leq(alg.prod[alg.impl[x][y]][alg.impl[y][z]],
-                               alg.impl[x][z]))
+        Ix = I[x]
+        # 1 -> x, x -> 1, then over y: x * (x -> y) <= y, x <= y iff
+        # x -> y = 1, y <= x -> y, then over (y, z): currying, chain
+        if (alg.impl[top][x] == x and Ix[top] == top
+                and below.issuperset(zip(Ix.translate(Pt[x]), rng))
+                and L[x] == Ix.translate(is_top)
+                and below.issuperset(zip(rng, Ix))
+                and impls.translate(It[x]) == b"".join(I[p] for p in P[x])
+                and below.issuperset(zip(
+                    b"".join(I[y].translate(Pt[a]) for y, a in enumerate(Ix)),
+                    Ix * n))):
+            yield 2 + n * (3 + 2 * n)
+        else:
+            yield from _residuation_at(alg, x)
+
+
+def _residuation_at(alg, x):
+    rng = range(alg.n)
+    yield lambda: f"1 -> {alg.names[x]}", alg.impl[alg.top][x] == x
+    yield lambda: f"{alg.names[x]} -> 1", alg.impl[x][alg.top] == alg.top
+    for y in rng:
+        yield (lambda: f"{alg.names[x]} * ({alg.names[x]} -> {alg.names[y]})",
+               alg.leq(alg.prod[x][alg.impl[x][y]], y))
+        yield (lambda: f"order vs implication at ({alg.names[x]}, "
+                       f"{alg.names[y]})",
+               alg.leq(x, y) == (alg.impl[x][y] == alg.top))
+        yield (lambda: f"{alg.names[y]} below {alg.names[x]} -> {alg.names[y]}",
+               alg.leq(y, alg.impl[x][y]))
+        for z in rng:
+            yield (lambda: f"currying at ({alg.names[x]}, {alg.names[y]}, "
+                           f"{alg.names[z]})",
+                   alg.impl[x][alg.impl[y][z]] == alg.impl[alg.prod[x][y]][z])
+            yield (lambda: f"implication chain at ({alg.names[x]}, "
+                           f"{alg.names[y]}, {alg.names[z]})",
+                   alg.leq(alg.prod[alg.impl[x][y]][alg.impl[y][z]],
+                           alg.impl[x][z]))
 
 
 @law("product-join-distributivity", "arithmetic",
      "the product distributes over binary joins")
 def _product_join_distributivity(alg):
+    J, Jt = byte_rows(alg.join)
+    P, Pt = byte_rows(alg.prod)
+    joins = b"".join(J)
     for x in range(alg.n):
-        for y in range(alg.n):
-            for z in range(alg.n):
-                lhs = alg.prod[x][alg.join[y][z]]
-                rhs = alg.join[alg.prod[x][y]][alg.prod[x][z]]
-                yield (lambda: f"{alg.names[x]} * ({alg.names[y]} v "
-                               f"{alg.names[z]})",
-                       lhs == rhs)
+        Px = P[x]
+        if joins.translate(Pt[x]) == b"".join(Px.translate(Jt[p]) for p in Px):
+            yield alg.n * alg.n
+        else:
+            yield from _distributivity_at(alg, x)
+
+
+def _distributivity_at(alg, x):
+    for y in range(alg.n):
+        for z in range(alg.n):
+            lhs = alg.prod[x][alg.join[y][z]]
+            rhs = alg.join[alg.prod[x][y]][alg.prod[x][z]]
+            yield (lambda: f"{alg.names[x]} * ({alg.names[y]} v "
+                           f"{alg.names[z]})",
+                   lhs == rhs)
+
+
+# The exponent pairs (m, k) of power-join-bound, in walk order.
+_EXPONENTS = tuple((m, k) for m in range(3) for k in range(3) if m + k)
 
 
 @law("power-join-bound", "arithmetic",
      "a power of a join falls below the join of powers")
 def _power_join_bound(alg):
-    for x in range(alg.n):
-        for y in range(alg.n):
-            for m in range(3):
-                for k in range(3):
-                    if m + k == 0:
-                        continue
-                    lhs = alg.power(alg.join[x][y], m + k)
-                    rhs = alg.join[alg.power(x, m)][alg.power(y, k)]
-                    yield (lambda: f"({alg.names[x]} v {alg.names[y]})^{m + k} vs "
-                           f"{alg.names[x]}^{m} v {alg.names[y]}^{k}",
-                           alg.leq(lhs, rhs))
+    rng = range(alg.n)
+    J, Jt = byte_rows(alg.join)
+    # W[e][z] is z to the power e
+    W, Wt = byte_rows([[alg.power(z, e) for z in rng] for e in range(5)])
+    below = _order_pairs(alg)
+    for x in rng:
+        Jx = J[x]
+        if below.issuperset(zip(
+                b"".join(Jx.translate(Wt[m + k]) for m, k in _EXPONENTS),
+                b"".join(W[k].translate(Jt[W[m][x]]) for m, k in _EXPONENTS))):
+            yield len(_EXPONENTS) * alg.n
+        else:
+            yield from _power_bound_at(alg, x)
+
+
+def _power_bound_at(alg, x):
+    for y in range(alg.n):
+        for m, k in _EXPONENTS:
+            lhs = alg.power(alg.join[x][y], m + k)
+            rhs = alg.join[alg.power(x, m)][alg.power(y, k)]
+            yield (lambda: f"({alg.names[x]} v {alg.names[y]})^{m + k} vs "
+                   f"{alg.names[x]}^{m} v {alg.names[y]}^{k}",
+                   alg.leq(lhs, rhs))
 
 
 @law("negation-basics", "arithmetic",
@@ -496,7 +569,7 @@ def _dense_element_characterizations(alg):
     for x in range(alg.n):
         trivial_perp = coannulet(alg, x) == singleton(alg.top)
         outside_all = all(not contains(m, x) for m in minimal_primes(alg))
-        full_dbl = double_coannihilator(alg, singleton(x)) == alg.universe
+        full_dbl = alg.double_coannulets[x] == alg.universe
         yield (lambda: f"characterizations agree at {alg.names[x]}",
                trivial_perp == outside_all == full_dbl == contains(dense, x))
     yield lambda: "dense elements form an ideal", \

@@ -9,6 +9,7 @@ import pytest
 import bruteforce as bf
 import tables as tb
 from reslat import validate
+from reslat.algebra import ResiduatedLattice
 from reslat.classify import element_lattice
 from reslat.filters import principal_filter
 from reslat.search import mine
@@ -23,6 +24,17 @@ def build(spec):
     names, join, meet, prod, impl, bot, top = spec
     ji, mi, pi, ii = tb.index_tables(names, join, meet, prod, impl)
     return validate(names, ji, mi, pi, ii, names.index(bot), names.index(top))
+
+
+def corrupted(alg, table, cells):
+    """The algebra with table[x][y] = v for each (x, y, v), unvalidated."""
+    rows = [list(row) for row in getattr(alg, table)]
+    for x, y, v in cells:
+        rows[x][y] = v
+    ops = {op: getattr(alg, op) for op in ("join", "meet", "prod", "impl")}
+    ops[table] = tuple(map(tuple, rows))
+    return ResiduatedLattice(names=alg.names, bottom=alg.bottom, top=alg.top,
+                             up=alg.up, down=alg.down, **ops)
 
 
 @pytest.fixture(scope="session")

@@ -118,6 +118,8 @@ def test_landscape_matches_oracle(index):
                 bf.generated(t, set_of(alg, f) | {x})
 
     assert as_sets(alg, coannihilator_family(alg)) == set(bf.coannihilator_family(t))
+    assert [set_of(alg, d) for d in alg.double_coannulets] == \
+        [bf.perp(t, bf.perp(t, {x})) for x in range(alg.n)]
     assert as_sets(alg, all_ideals(alg)) == set(bf.ideals(t))
     assert as_sets(alg, omega_family(alg)) == set(bf.omega_family(t))
 

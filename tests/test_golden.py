@@ -27,11 +27,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import catalog5
+from conftest import catalog5, corrupted
 from gen import boolean, godel, luk
-from reslat.algebra import ResiduatedLattice
 from reslat.cli import main
 from reslat.io import NamedAlgebra, load_bundled, render_algebra, render_stream
+from reslat.report import ReportBuilder
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -61,17 +61,6 @@ LAW_BREAKERS = (
     ("join-prod-superdistributive", "bool4", "prod", ((1, 1, 0),)),
     ("prod-monotone", "bool4", "meet", ((3, 0, 3),)),
 )
-
-
-def corrupted(alg, table, cells):
-    """The algebra with table[x][y] = v for each (x, y, v), unvalidated."""
-    rows = [list(row) for row in getattr(alg, table)]
-    for x, y, v in cells:
-        rows[x][y] = v
-    ops = {op: getattr(alg, op) for op in ("join", "meet", "prod", "impl")}
-    ops[table] = tuple(map(tuple, rows))
-    return ResiduatedLattice(names=alg.names, bottom=alg.bottom, top=alg.top,
-                             up=alg.up, down=alg.down, **ops)
 
 
 def broken_documents() -> str:
@@ -135,6 +124,26 @@ def test_golden_covers_every_command_line():
 def test_report_bytes_unchanged(line, input_dir, monkeypatch):
     monkeypatch.chdir(input_dir)
     assert replay(line) == json.loads(GOLDEN.read_text())[line]
+
+
+
+@pytest.mark.parametrize("line", [l for l in command_lines() if "--format json" in l])
+def test_json_reports_are_the_standard_encoding(line, input_dir, monkeypatch):
+    """Every JSON report, written directly, has the bytes the standard
+    library's indenting encoder gives its data."""
+    pairs = []
+    written = ReportBuilder.json
+
+    def json_(rep):
+        out = written(rep)
+        pairs.append((out, json.dumps(rep._data, sort_keys=True, indent=2) + "\n"))
+        return out
+
+    monkeypatch.setattr(ReportBuilder, "json", json_)
+    monkeypatch.chdir(input_dir)
+    replay(line)
+    assert len(pairs) == 1
+    assert pairs[0][0] == pairs[0][1]
 
 
 if __name__ == "__main__":

@@ -227,7 +227,7 @@ def test_invalid_tables_raise_through_parse(a7):
 def test_check_stream_reports_instead_of_raising(a7):
     good = render_algebra(a7, label="fine")
     broken = _break_product(good).replace("label: fine", "label: broken")
-    checks = check_stream(good + "---\n" + broken)
+    checks = tuple(check_stream(good + "---\n" + broken))
     assert [c.label for c in checks] == ["fine", "broken"]
     assert checks[0].valid and checks[0].algebra == a7
     assert checks[0].violations == ()
@@ -236,9 +236,15 @@ def test_check_stream_reports_instead_of_raising(a7):
     assert all(v.law for v in checks[1].violations)
 
 
-def test_check_stream_still_rejects_malformed_text():
+def test_check_stream_still_rejects_malformed_text(a7):
+    """Each document is checked when reached: a malformed one raises
+    after the verdicts of the documents before it."""
     with pytest.raises(ParseError):
-        check_stream("elements: 0 1\n")
+        tuple(check_stream("elements: 0 1\n"))
+    checks = check_stream(render_algebra(a7) + "---\nelements: 0 1\n")
+    assert next(checks).algebra == a7
+    with pytest.raises(ParseError):
+        next(checks)
 
 
 def test_bundled_names_and_loading():

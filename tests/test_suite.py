@@ -2,8 +2,9 @@ from __future__ import annotations
 
 import pytest
 
+import bruteforce as bf
 import tables as tb
-from conftest import build, mask_of
+from conftest import build, catalog5, corrupted, mask_of
 from reslat import PreconditionError, suite
 from reslat.subsets import singleton
 from reslat.suite import registry_groups, registry_idents, verify_suite
@@ -164,5 +165,63 @@ def test_frames_state_distributivity(a7, monkeypatch, ident, witness):
     their lattice view, and name that instance when it fails."""
     monkeypatch.setattr(suite, "is_distributive", lambda view: False)
     (report,) = verify_suite(a7, idents=(ident,))
+    assert (report.passed, report.sides) == (False, (("holds", False),))
+    assert report.witness == witness
+
+
+# The arithmetic laws, each with its instance-by-instance oracle.
+ARITHMETIC = {
+    "residuation-basics": bf.residuation_basics,
+    "product-join-distributivity": bf.product_join_distributivity,
+    "power-join-bound": bf.power_join_bound,
+}
+
+
+def spoilt_cells(alg, shifts):
+    """alg unchanged, then alg with one prod, impl or join cell moved on
+    by each shift modulo n, for every cell, none of them validated."""
+    yield alg
+    for table in ("prod", "impl", "join"):
+        for x in range(alg.n):
+            for y in range(alg.n):
+                for s in shifts:
+                    v = (getattr(alg, table)[x][y] + s) % alg.n
+                    yield corrupted(alg, table, ((x, y, v),))
+
+
+@pytest.mark.parametrize("base", ["a7", 22, 23])
+def test_arithmetic_rows_match_the_walk(a7, base):
+    """Checked a row at a time, each arithmetic law passes or fails as
+    the walk over every instance does, with the same first failure or
+    instance count, whichever table cell is spoilt.  On the two catalog
+    algebras every cell takes every other value: a row check missing
+    any one of its tests then gets some verdict wrong, except the tests
+    of x -> 1, y below x -> y, (x v y)^2 vs 1 v y^2 and x^2 v 1, which
+    only two spoilt cells can single out."""
+    if base == "a7":
+        alg, shifts = a7, (1,)
+    else:
+        alg = catalog5()[base]
+        shifts = range(1, alg.n)
+    checks = {ident: check for ident, _, _, check in suite.REGISTRY}
+    for spoilt in spoilt_cells(alg, shifts):
+        for ident, oracle in ARITHMETIC.items():
+            assert checks[ident](spoilt)[1:] == suite._law(oracle(spoilt))[1:], \
+                (ident, spoilt)
+
+
+@pytest.mark.parametrize("ident, table, cell, witness", [
+    ("residuation-basics", "impl", ("c", "b", "1"),
+     "fails at c * (c -> b)"),
+    ("product-join-distributivity", "prod", ("b", "d", "0"),
+     "fails at b * (a v d)"),
+    ("power-join-bound", "join", ("a", "e", "0"),
+     "fails at (c v e)^3 vs c^2 v e^1"),
+])
+def test_arithmetic_law_fails_at_a_spoilt_cell(a7, ident, table, cell, witness):
+    """One spoilt table cell makes each arithmetic law fail, at the
+    first instance that reads it: here c -> b, b * d and c^2 v e."""
+    x, y, v = (a7.names.index(nm) for nm in cell)
+    (report,) = verify_suite(corrupted(a7, table, ((x, y, v),)), (ident,))
     assert (report.passed, report.sides) == (False, (("holds", False),))
     assert report.witness == witness
