@@ -78,8 +78,11 @@ def _read_source(token: str) -> tuple[str, str]:
     if os.path.exists(token):
         base = os.path.basename(token)
         stem = base.rsplit(".", 1)[0] if "." in base else base
-        with open(token, encoding="utf-8") as fh:
-            return stem, fh.read()
+        try:
+            with open(token, encoding="utf-8") as fh:
+                return stem, fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _UsageError(f"cannot read {token!r}: {exc}") from exc
     if token in BUNDLED:
         doc = load_bundled(token)
         return token, render_algebra(doc.algebra, doc.label)

@@ -59,11 +59,11 @@ class LatticeSkeleton(Record):
 class SearchStats(Record):
     """Work counters for one enumeration run.
 
-    examined counts complete tables reached, which the row checks make
-    equal to found; pruned counts candidate values rejected mid-fill,
-    by the monotonicity interval or at a row check; found counts valid
-    tables before the isomorphism pass, and found == emitted +
-    iso_rejected.
+    examined counts complete tables reached, which equals found by
+    construction: the row checks make every complete table valid.
+    pruned counts candidate values rejected mid-fill, by the
+    monotonicity interval or at a row check; found counts valid tables
+    before the isomorphism pass, and found == emitted + iso_rejected.
     """
 
     examined: int
@@ -211,6 +211,11 @@ def _symmetries(skel: LatticeSkeleton):
 
 # -- residuated products on a skeleton -------------------------------------
 
+# _MEMBERS[mask]: the elements in mask, ascending.
+_MEMBERS = tuple(tuple(v for v in range(MAX_CARRIER) if mask >> v & 1)
+                 for mask in range(1 << MAX_CARRIER))
+
+
 def _cells(n: int) -> tuple[tuple[int, int], ...]:
     """Unordered argument pairs left free once the unit row is fixed."""
     return tuple((x, y) for x in range(n - 1) for y in range(x, n - 1))
@@ -223,10 +228,9 @@ def _down_masks(skel: LatticeSkeleton) -> tuple[int, ...]:
 
 
 class _Fill:
-    """One skeleton's fill, worked out once: the free cells and their
-    candidate values, each cell's earlier neighbours in the product
-    order, the order as bitmasks, and the residuals of the product rows
-    met so far."""
+    """One skeleton's fill, worked out once: the free cells, each cell's
+    earlier neighbours in the product order, the order as bitmasks, and
+    the residuals of the product rows met so far."""
 
     def __init__(self, skel: LatticeSkeleton):
         n = skel.n
@@ -249,20 +253,11 @@ class _Fill:
         self.upper = tuple(
             tuple(j for j in range(i) if below(c, cells[j]))
             for i, c in enumerate(cells))
-        self.cand = tuple(
-            tuple(v for v in range(n) if down[skel.meet[x][y]] >> v & 1)
-            for x, y in cells)
-        # fits[i][lo][hi]: the candidates v of cell i with lo <= v <= hi
-        self.fits = tuple(
-            tuple(tuple(tuple(v for v in cand if down[v] >> lo & 1
-                              and down[hi] >> v & 1)
-                        for hi in range(n))
-                  for lo in range(n))
-            for cand in self.cand)
         # closes[i]: at the last cell of row r, the triples (x, y, z) of
-        # middle elements whose largest member is r.  Natural labelling
-        # puts x*y at an index at most min(x, y), so once rows 0..r are
-        # complete these products can be read.  Triples through the
+        # middle elements whose largest member is r.  The walk writes
+        # [x][y] and [y][x] together, so once rows 0..r are complete so
+        # are columns 0..r, and every entry the check reads lies in one
+        # of them: x < z <= r and y <= r.  Triples through the
         # bottom (absorbing, as candidates lie below the meet) or the
         # unit hold, and commutativity makes (z, y, x) and (x, y, z) one
         # equation and (x, y, x) an identity, so x < z.  None elsewhere.
@@ -275,15 +270,17 @@ class _Fill:
 
 
 def _interval(fill: _Fill, i: int, vals) -> tuple[int, int]:
-    """The (lo, hi) bounds monotonicity puts on cell i given the values
-    of the earlier cells: the join of those below it and the meet of
-    those above it.  A value v clashes with no earlier cell exactly when
-    lo <= v <= hi."""
+    """The (lo, hi) bounds on cell i given the values of the earlier
+    cells: lo is the join of those below it, hi the meet of those above
+    it and of the cell's arguments, which every product lies below.  A
+    candidate v, one below that meet, clashes with no earlier cell
+    exactly when lo <= v <= hi."""
     join, meet = fill.skel.join, fill.skel.meet
     lo = 0
     for j in fill.lower[i]:
         lo = join[lo][vals[j]]
-    hi = fill.skel.n - 1
+    x, y = fill.cells[i]
+    hi = meet[x][y]
     for j in fill.upper[i]:
         hi = meet[hi][vals[j]]
     return lo, hi
@@ -328,9 +325,12 @@ def _walk(fill: _Fill, out_tables):
     """Depth-first fill of every cell, row by row.  Setting the last cell
     of a row completes it, and a value that fails _row_ok is pruned, so
     every full table reached is residuated and associative and is
-    recorded.  Returns (examined, pruned)."""
+    recorded.  The values tried at a cell are the members of its
+    interval, ascending.  Returns the count pruned."""
     n = fill.skel.n
-    cells, cand, fits, closes = fill.cells, fill.cand, fill.fits, fill.closes
+    cells, closes, up, down = fill.cells, fill.closes, fill.up, fill.down
+    # The candidates of each cell: the values below its meet.
+    ncand = [down[fill.skel.meet[x][y]].bit_count() for x, y in cells]
     top = n - 1
     # One product table per walk: each cell is written when assigned,
     # so at a leaf the table holds exactly the current assignment.
@@ -339,18 +339,16 @@ def _walk(fill: _Fill, out_tables):
         prod_t[i][top] = i
         prod_t[top][i] = i
     vals = [0] * len(cells)
-    examined = 0
     pruned = 0
 
     def rec(i):
-        nonlocal examined, pruned
+        nonlocal pruned
         if i == len(cells):
-            examined += 1
             out_tables.append(tuple(map(tuple, prod_t)))
             return
         lo, hi = _interval(fill, i, vals)
-        values = fits[i][lo][hi]
-        pruned += len(cand[i]) - len(values)
+        values = _MEMBERS[up[lo] & down[hi]]
+        pruned += ncand[i] - len(values)
         x, y = cells[i]
         row_x, row_y = prod_t[x], prod_t[y]
         triples = closes[i]
@@ -362,7 +360,7 @@ def _walk(fill: _Fill, out_tables):
             rec(i + 1)
 
     rec(0)
-    return examined, pruned
+    return pruned
 
 
 def _canonical_product(symmetries, prod_t) -> bytes:
@@ -390,11 +388,11 @@ def enumerate_residuated(skel: LatticeSkeleton,
     """All residuated products on the skeleton up to isomorphism."""
     fill = _Fill(skel)
     tables: list = []
-    examined, pruned = _walk(fill, tables)
+    pruned = _walk(fill, tables)
     found = len(tables)
     symmetries = _symmetries(skel)
     emitted = sorted({_canonical_product(symmetries, t) for t in tables})
-    stats = SearchStats(examined, pruned, found, len(emitted),
+    stats = SearchStats(found, pruned, found, len(emitted),
                         found - len(emitted))
     algebras = tuple(_build_algebra(fill, _rows(t, skel.n)) for t in emitted)
     return algebras, stats

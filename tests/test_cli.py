@@ -279,6 +279,23 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["info", "validate"])
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_input_is_a_usage_error(capsys, tmp_path, command, kind):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    code = main([command, str(path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (64, "")
+    # One usage error line, then the elapsed-time line.
+    first, elapsed = err.splitlines()
+    assert first.startswith(f"usage error: cannot read {str(path)!r}: ")
+    assert elapsed.startswith("elapsed ")
+
+
 def test_invalid_algebra_blocks_analysis(capsys, tmp_path):
     text = render_algebra(build(tb.A7))
     lines = text.splitlines()

@@ -16,6 +16,7 @@ from reslat.search import (
     ATOMS,
     MAX_CARRIER,
     LatticeSkeleton,
+    _MEMBERS,
     _Fill,
     _interval,
     _symmetries,
@@ -138,12 +139,14 @@ def test_interval_prune_matches_pairwise_scan(data):
     i = data.draw(st.integers(0, len(fill.cells) - 1))
     vals = data.draw(st.lists(st.integers(0, n - 1), min_size=i, max_size=i))
     lo, hi = _interval(fill, i, vals)
-    for v in range(n):
-        clash = _pairwise_clash(skel, fill.cells, vals, i, v)
-        assert (skel.leq(lo, v) and skel.leq(v, hi)) == (not clash)
-    assert fill.fits[i][lo][hi] == tuple(
-        v for v in fill.cand[i]
-        if not _pairwise_clash(skel, fill.cells, vals, i, v))
+    x, y = fill.cells[i]
+    candidates = [v for v in range(n) if skel.leq(v, skel.meet[x][y])]
+    fitting = tuple(v for v in candidates
+                    if not _pairwise_clash(skel, fill.cells, vals, i, v))
+    for v in candidates:
+        assert (skel.leq(lo, v) and skel.leq(v, hi)) == (v in fitting)
+    # The values the walk tries at cell i, in the order it tries them.
+    assert _MEMBERS[fill.up[lo] & fill.down[hi]] == fitting
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
