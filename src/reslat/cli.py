@@ -35,7 +35,8 @@ from .spectrum import (hull_topology, is_compact, is_totally_disconnected,
                        is_zero_dimensional, maximal_filters, minimal_primes,
                        prime_core, prime_filters, topologies_equal)
 from .subsets import elements
-from .suite import registry_entries, registry_groups, verify_suite
+from .suite import (registry_entries, registry_groups, registry_idents,
+                    verify_suite)
 from .views import is_boolean
 
 EXIT_OK = 0
@@ -44,17 +45,13 @@ EXIT_INTERNAL = 2
 EXIT_USAGE = 64
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _DomainError(Exception):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise PreconditionError(message)
 
 
 def _yes(flag: bool) -> str:
@@ -82,11 +79,11 @@ def _read_source(token: str) -> tuple[str, str]:
             with open(token, encoding="utf-8") as fh:
                 return stem, fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            raise _UsageError(f"cannot read {token!r}: {exc}") from exc
+            raise PreconditionError(f"cannot read {token!r}: {exc}") from exc
     if token in BUNDLED:
         doc = load_bundled(token)
         return token, render_algebra(doc.algebra, doc.label)
-    raise _UsageError(
+    raise PreconditionError(
         f"no such file or bundled algebra: {token!r} "
         f"(bundled names: {', '.join(bundled_names())})")
 
@@ -164,20 +161,11 @@ def _per_doc(command, args, build) -> int:
     rep = ReportBuilder(command)
     items = []
     worst = EXIT_OK
-    docs = _load_algebras(args.inputs)
-    for i, (label, alg) in enumerate(docs):
+    for i, (label, alg) in enumerate(_load_algebras(args.inputs)):
         if i:
             rep.line()
         item = {"label": label}
-        try:
-            code = build(args, rep, item, label, alg)
-        except (_UsageError, _DomainError, PreconditionError, InternalCheckError):
-            # An unreadable later document outranks this error, as it
-            # did when every document was parsed before any analysis.
-            for _ in docs:
-                pass
-            raise
-        worst = max(worst, code or EXIT_OK)
+        worst = max(worst, build(args, rep, item, label, alg) or EXIT_OK)
         items.append(item)
     rep.set("algebras", items)
     sys.stdout.write(rep.emit(args.format))
@@ -410,20 +398,23 @@ def _build_classify(args, rep, item, label, alg):
     })
 
 
-def _split_csv(value):
-    if value is None:
-        return None
-    parts = [p.strip() for p in value.split(",") if p.strip()]
-    if not parts:
-        raise _UsageError("empty selection list")
-    return tuple(parts)
+def _selection(known, what):
+    """An argparse type: a comma separated list of names from known."""
+    def convert(value):
+        parts = tuple(p.strip() for p in value.split(",") if p.strip())
+        if not parts:
+            raise argparse.ArgumentTypeError("empty selection list")
+        unknown = set(parts) - set(known)
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                f"unknown statement {what}: " + ", ".join(sorted(unknown)))
+        return parts
+    return convert
 
 
 def _build_verify(args, rep, item, label, alg):
-    idents = _split_csv(args.only)
-    groups = _split_csv(args.group)
     group_of = {ident: group for ident, _, group in registry_entries()}
-    reports = verify_suite(alg, idents=idents, groups=groups)
+    reports = verify_suite(alg, idents=args.only, groups=args.group)
     failed = 0
     rep.line(f"{label}: {_count(len(reports), 'statement')}")
     rows = []
@@ -453,7 +444,7 @@ def _build_verify(args, rep, item, label, alg):
 
 def _cmd_search(args) -> int:
     if not 1 <= args.max_size <= MAX_CARRIER:
-        raise _UsageError(f"max size must be between 1 and {MAX_CARRIER}")
+        raise PreconditionError(f"max size must be between 1 and {MAX_CARRIER}")
 
     rep = ReportBuilder("search")
     # The summary lines are comments, so that the --render output parses as
@@ -542,8 +533,10 @@ def _make_parser() -> _Parser:
     verify = add("verify", "run the statement suite",
                  lambda a: _per_doc("verify", a, _build_verify))
     verify.add_argument("--only", metavar="IDS",
+                        type=_selection(registry_idents(), "ids"),
                         help="comma separated statement ids")
     verify.add_argument("--group", metavar="GROUPS",
+                        type=_selection(registry_groups(), "groups"),
                         help="comma separated groups "
                              f"({', '.join(registry_groups())})")
     search = add("search", "enumerate small algebras matching a predicate",
@@ -563,9 +556,6 @@ def main(argv=None) -> int:
     try:
         args = _make_parser().parse_args(argv)
         return args.run(args)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

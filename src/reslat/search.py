@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from itertools import chain, permutations, product
+from itertools import chain, groupby, permutations, product
 from operator import itemgetter
 
 from .algebra import ResiduatedLattice
@@ -442,63 +442,61 @@ def parse_predicate(src: str):
     the verdict function of that name in ``classify``, computed on first
     read and memoised on the algebra, and the operators short-circuit,
     so a call computes only the verdicts it reads: ``true`` none, and
-    ``a and b`` never b where a is false.  Grammar, loosest first:
-    expr = term {"or" term}; term = factor {"and" factor};
-    factor = "not" factor | "(" expr ")" | atom.
+    ``a and b`` never b where a is false.  The grammar is Python's:
+    ``not`` binds tighter than ``and``, which binds tighter than ``or``,
+    and parentheses nest at most 200 deep (less where each level holds
+    operators, as the parser's own stack runs out first; both are a
+    PreconditionError).  Each run of ``not`` is cut
+    to its parity (an even run to two, so that it still needs an
+    operand), so only parentheses make the parse, and the call, deep.
     """
+    import ast
+
     tokens = _tokenize(src)
     if not tokens:
         raise PreconditionError("empty predicate")
-    pos = 0
+    folded = []
+    for tok, run in groupby(tokens):
+        n = len(tuple(run))
+        folded += [tok] * ((n % 2 or 2) if tok == "not" else n)
+    try:
+        tree = ast.parse(" ".join(folded), mode="eval").body
+    except SyntaxError as exc:
+        raise PreconditionError(f"malformed predicate: {exc.msg}") from None
+    except (RecursionError, MemoryError):
+        # How the parser reports input too deep for its own stack
+        # (MemoryError on 3.11, at about 180 levels of "( a or b and").
+        raise PreconditionError("predicate nests too deeply") from None
 
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
+    def build(node, negate):
+        """The callable for node, or with negate for its negation."""
+        while isinstance(node, ast.UnaryOp):  # _tokenize admits only "not"
+            node, negate = node.operand, not negate
+        if isinstance(node, ast.BoolOp):
+            # A chain returns stop at the first part that gives stop.  The
+            # negation of a chain is the dual chain over the negated parts,
+            # which reads the same verdicts; so "not" costs no call.
+            stop = isinstance(node.op, ast.Or) != negate
+            parts = [build(part, negate) for part in node.values]
 
-    def take():
-        nonlocal pos
-        tok = peek()
-        pos += 1
-        return tok
+            def chain(alg):
+                for part in parts:
+                    if part(alg) == stop:
+                        return stop
+                return not stop
+            return chain
+        if not isinstance(node, ast.Name):
+            raise PreconditionError(
+                "malformed predicate: expected atoms joined by and, or, "
+                "not and parentheses")
+        if node.id not in ATOMS:
+            raise PreconditionError(
+                f"unknown predicate atom {node.id!r}; expected one of "
+                + ", ".join(sorted(ATOMS)))
+        atom = _atom(node.id)
+        return (lambda alg: not atom(alg)) if negate else atom
 
-    def expr():
-        left = term()
-        while peek() == "or":
-            take()
-            right = term()
-            left = (lambda a, b: lambda alg: a(alg) or b(alg))(left, right)
-        return left
-
-    def term():
-        left = factor()
-        while peek() == "and":
-            take()
-            right = factor()
-            left = (lambda a, b: lambda alg: a(alg) and b(alg))(left, right)
-        return left
-
-    def factor():
-        tok = take()
-        if tok == "not":
-            inner = factor()
-            return lambda alg: not inner(alg)
-        if tok == "(":
-            inner = expr()
-            if take() != ")":
-                raise PreconditionError("unbalanced parenthesis in predicate")
-            return inner
-        if tok in ATOMS:
-            return _atom(tok)
-        if tok is None:
-            raise PreconditionError("predicate ends mid-expression")
-        raise PreconditionError(
-            f"unknown predicate atom {tok!r}; expected one of "
-            + ", ".join(sorted(ATOMS)))
-
-    compiled = expr()
-    if pos != len(tokens):
-        raise PreconditionError(
-            f"trailing tokens in predicate: {' '.join(tokens[pos:])!r}")
-    return compiled
+    return build(tree, False)
 
 
 class MineResult(Record):

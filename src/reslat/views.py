@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Callable, Hashable, Sequence
 from functools import reduce
 
-from .algebra import derived
+from .algebra import byte_rows, derived
 from .errors import InternalCheckError, PreconditionError
 from .record import Record
 
@@ -91,14 +91,12 @@ def is_distributive(view: LatticeView) -> bool:
     """Whether x ^ (y v z) == (x ^ y) v (x ^ z) for all nodes.
 
     Checked a row at a time, for each pair (x, y) across every z at
-    once, as ``algebra.check_tables`` checks its triple laws: rows are
-    bytes padded to 256, so ``s.translate(t)`` is the row t[s[z]] over
-    all z.  No view has more nodes than its algebra has elements, 64 at
-    most, so every index fits a byte.
+    once, as ``algebra.check_tables`` checks its triple laws, on the
+    rows of ``algebra.byte_rows``.  No view has more nodes than its
+    algebra has elements, 64 at most, so every index fits a byte.
     """
-    pad = bytes(256 - view.n)
-    J, M = [bytes(r) for r in view.join], [bytes(r) for r in view.meet]
-    Jt, Mt = [r + pad for r in J], [r + pad for r in M]
+    J, Jt = byte_rows(view.join)
+    M, Mt = byte_rows(view.meet)
     for x, mx in enumerate(view.meet):
         Mx, Mtx = M[x], Mt[x]
         for y, Jy in enumerate(J):

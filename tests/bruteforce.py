@@ -758,3 +758,37 @@ def canonical_form(alg) -> tuple:
         if best is None or enc < best:
             best = enc
     return best
+
+
+class _Truth:
+    """A truth value whose ~, & and | are not, and and or.  Python gives
+    the three operators the precedence order of not, and and or, and it
+    evaluates every operand of & and |, so no short circuit can skip an
+    operand that is not a truth value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __invert__(self):
+        return _Truth(not self.value)
+
+    def __and__(self, other):
+        return _Truth(self.value and other.value)
+
+    def __or__(self, other):
+        return _Truth(self.value or other.value)
+
+
+def predicate_value(tokens, verdicts):
+    """The value of a predicate's tokens, Python's ``eval`` with each
+    atom bound to its verdict (a bool), or None where the tokens are no
+    boolean formula: a syntax error, an unbound name, an empty ``()`` or
+    a call."""
+    ops = {"not": "~", "and": "&", "or": "|"}
+    src = " ".join(ops.get(tok, tok) for tok in tokens)
+    names = {name: _Truth(v) for name, v in verdicts.items()}
+    try:
+        value = eval(src, {"__builtins__": {}}, names)
+    except (SyntaxError, NameError, TypeError, AttributeError):
+        return None
+    return value.value if isinstance(value, _Truth) else None

@@ -272,6 +272,21 @@ def test_search_argument_validation(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("predicate, code", [
+    (" and ".join(["true"] * 20000), 0),
+    ("(" * 2000 + "true" + ")" * 2000, 64),
+    ("not " * 20000 + "true", 0),
+], ids=["and-chain", "parentheses", "nots"])
+def test_long_predicates_exit_0_or_64(capsys, predicate, code):
+    assert main(["search", "--max-size", "2", "--predicate", predicate]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert out == ""
+        assert err.startswith("usage error: malformed predicate: ")
+    else:
+        assert "# total: 2 lattices, 2 algebras, 2 matching\n" in out
+
+
 def test_usage_errors(capsys):
     assert main(["info", "/no/such/file.alg"]) == 64
     capsys.readouterr()
@@ -378,17 +393,38 @@ def test_each_algebra_is_freed_before_the_next_is_analysed(capsys, monkeypatch):
     assert alive == [0, 0, 0, 0]
 
 
-def test_unreadable_document_outranks_an_analysis_error(capsys, tmp_path):
-    # Documents are parsed as they are reached, yet an invalid later
-    # document is still reported (exit 1) ahead of an unknown statement
-    # id that the first document's analysis meets (exit 64).
+def test_argument_errors_outrank_unreadable_documents(capsys, tmp_path):
+    # A bad --only is refused while the arguments are parsed, before any
+    # document is read; without it, the invalid document is reported.
     text = render_algebra(build(tb.A7))
     path = tmp_path / "bad.alg"
     path.write_text(text.replace("prod:\n0 0", "prod:\n0 a", 1))
-    assert main(["verify", "chain2", str(path), "--only", "bogus"]) == 1
+    assert main(["verify", "chain2", str(path), "--only", "bogus"]) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "usage error: argument --only: unknown statement ids: bogus\n")
+    assert main(["verify", "chain2", str(path)]) == 1
     assert "bad.alg: not a residuated lattice" in capsys.readouterr().err
-    assert main(["verify", "chain2", "a7", "--only", "bogus"]) == 64
-    assert "unknown statement ids: bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--only", "bogus"], "argument --only: unknown statement ids: bogus"),
+    (["--only", ","], "argument --only: empty selection list"),
+    (["--group", ","], "argument --group: empty selection list"),
+    (["--group", "nope,topology"],
+     "argument --group: unknown statement groups: nope"),
+], ids=["only-unknown", "only-empty", "group-empty", "group-unknown"])
+def test_bad_selection_is_refused_before_input_is_read(capsys, monkeypatch,
+                                                       argv, message):
+    import io as stdlib_io
+    stdin = stdlib_io.StringIO("# only a comment\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code = main(["verify", "-", *argv])
+    out, err = capsys.readouterr()
+    assert (code, out) == (64, "")
+    assert err.startswith(f"usage error: {message}\n")
+    assert stdin.tell() == 0
 
 
 def test_reports_are_byte_stable(capsys):
@@ -422,7 +458,8 @@ def test_multiple_algebras_one_report(capsys):
 
 # Modules that cost start-up time and that no command needs before it
 # reads its input.
-HEAVY_AT_START = ("dataclasses", "inspect", "typing", "importlib.resources")
+HEAVY_AT_START = ("dataclasses", "inspect", "typing", "importlib.resources",
+                  "ast")
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():

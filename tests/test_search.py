@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 from collections import Counter
 
 import pytest
@@ -304,9 +305,71 @@ def test_predicate_reads_a_classification_result(a7, bool4):
 
 def test_predicate_parser_errors():
     for bad in ("", "nope", "true and", "(true", "true )", "true false",
-                "quasi-complemented"):
+                "quasi-complemented", "()", "(true)(false)", "not ()",
+                "false and ()", "true not not", "(true not not)",
+                "true if false else true"):
         with pytest.raises(PreconditionError):
             parse_predicate(bad)
+
+
+def test_predicate_parser_matches_python_on_random_tokens(a7, bool4):
+    """parse_predicate accepts exactly the token strings that Python
+    reads as a formula over the atoms, and agrees with it on their
+    values on a7 and bool4."""
+    algebras = (a7, bool4)
+    verdicts = [{name: ATOMS[name](alg) for name in ATOMS} for alg in algebras]
+    alphabet = sorted(ATOMS) + ["and", "or", "not", "(", ")", "nope"]
+    rng = random.Random(1904)
+    accepted = 0
+    for _ in range(3000):
+        tokens = rng.choices(alphabet, k=rng.randint(1, 12))
+        src = " ".join(tokens)
+        want = [bf.predicate_value(tokens, v) for v in verdicts]
+        try:
+            pred = parse_predicate(src)
+        except PreconditionError:
+            assert want == [None, None], src
+            continue
+        assert [pred(alg) for alg in algebras] == want, src
+        accepted += 1
+    assert accepted >= 100
+
+
+@pytest.mark.parametrize("src, value", [
+    (" and ".join(["true"] * 1000), True),
+    (" and ".join(["true"] * 19999 + ["false"]), False),
+    (" or ".join(["false"] * 19999 + ["quasicomplemented"]), True),
+    ("not " * 3000 + "false", False),
+    ("not " * 20000 + "true", True),
+    ("not " * 20001 + "true", False),
+    ("(" * 200 + "true" + ")" * 200, True),
+    ("not ( true and " * 150 + "true" + " )" * 150, True),
+], ids=["and-1000", "and-20000", "or-20000", "not-3000", "not-20000",
+        "not-20001", "parentheses-200", "not-and-150"])
+def test_long_predicates_compile(a7, src, value):
+    assert parse_predicate(src)(a7) is value
+
+
+@pytest.mark.parametrize("depth", [201, 2000])
+def test_deep_parentheses_are_refused(depth):
+    # PreconditionError, never RecursionError or MemoryError.
+    with pytest.raises(PreconditionError):
+        parse_predicate("(" * depth + "true" + ")" * depth)
+
+
+@pytest.mark.parametrize("level", [
+    "not not ( false or true and not not ", "( false or true and ",
+    "( true and not "])
+def test_nesting_is_compiled_or_refused_at_every_depth(a7, level):
+    # Python's parser gives up below 200 parentheses when each level
+    # holds operators; that, too, is a PreconditionError.
+    for depth in range(1, 202):
+        src = level * depth + "true" + " )" * depth
+        try:
+            pred = parse_predicate(src)
+        except PreconditionError:
+            continue
+        assert pred(a7) in (True, False), depth
 
 
 def test_mine_finds_the_godel_chain():
