@@ -212,26 +212,50 @@ _MISSING = object()
 
 
 def derived(fn):
-    """Memoise ``fn(obj, *args)`` in a dict kept in ``obj.__dict__``.
+    """Memoise ``fn(obj, *args)`` in one slot of ``obj.__dict__``.
 
     That is where ``cached_property`` stores its values too, so it works
     on records whose fields cannot be reassigned (``record.Record``).
-    The key is ``(fn, *args)``: a lookup hashes the arguments but never
+    Each function has its own slot, keyed ``module.qualname`` (a dotted
+    name no attribute can shadow), and its shape follows the function's
+    arity: with no argument besides ``obj`` the slot holds the value
+    itself, with one a dict keyed by that argument, with more a dict
+    keyed by the tuple of them.  A lookup hashes the arguments but never
     ``obj``, whose tables are costly to hash, and the memo is freed with
-    ``obj``.  An exception from ``fn`` is not
-    memoised.  Arguments are positional only.
+    ``obj``.  An exception from ``fn`` is not memoised.  Arguments are
+    positional only.
     """
-    @wraps(fn)
-    def memoised(obj, *args):
-        state = obj.__dict__
-        memo = state.get("_derived")
-        if memo is None:
-            memo = state["_derived"] = {}
-        key = (fn, *args)
-        value = memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = memo[key] = fn(obj, *args)
-        return value
+    slot = f"{fn.__module__}.{fn.__qualname__}"
+    arity = fn.__code__.co_argcount - 1
+
+    if arity == 0:
+        @wraps(fn)
+        def memoised(obj):
+            state = obj.__dict__
+            value = state.get(slot, _MISSING)
+            if value is _MISSING:
+                value = state[slot] = fn(obj)
+            return value
+    elif arity == 1:
+        @wraps(fn)
+        def memoised(obj, arg):
+            memo = obj.__dict__.get(slot)
+            if memo is None:
+                memo = obj.__dict__[slot] = {}
+            value = memo.get(arg, _MISSING)
+            if value is _MISSING:
+                value = memo[arg] = fn(obj, arg)
+            return value
+    else:
+        @wraps(fn)
+        def memoised(obj, *args):
+            memo = obj.__dict__.get(slot)
+            if memo is None:
+                memo = obj.__dict__[slot] = {}
+            value = memo.get(args, _MISSING)
+            if value is _MISSING:
+                value = memo[args] = fn(obj, *args)
+            return value
 
     return memoised
 
@@ -257,11 +281,11 @@ class ResiduatedLattice(Record):
     up: tuple[int, ...]
     down: tuple[int, ...]
 
-    @property
+    @cached_property
     def n(self) -> int:
         return len(self.names)
 
-    @property
+    @cached_property
     def universe(self) -> int:
         return full_set(self.n)
 

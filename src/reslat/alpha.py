@@ -135,15 +135,18 @@ def transfer_roundtrip_check(alg: ResiduatedLattice) -> bool:
     """The two transfer maps are mutually inverse and adjoint, and the
     closure of any filter factors through them."""
     view = coannulet_lattice(alg)
-    for f in alpha_family(alg):
-        if perp_preimage(alg, perp_image(alg, f)) != f:
+    fam, ups = alpha_family(alg), view_filters(view)
+    images = [perp_image(alg, f) for f in fam]
+    preimages = [perp_preimage(alg, g) for g in ups]
+    for f, img in zip(fam, images):
+        if perp_preimage(alg, img) != f:
             return False
-    for g in view_filters(view):
-        if perp_image(alg, perp_preimage(alg, g)) != g:
+    for g, pre in zip(ups, preimages):
+        if perp_image(alg, pre) != g:
             return False
-    for f in alpha_family(alg):
-        for g in view_filters(view):
-            if (perp_image(alg, f) & ~g == 0) != (f & ~perp_preimage(alg, g) == 0):
+    for f, img in zip(fam, images):
+        for g, pre in zip(ups, preimages):
+            if (img & ~g == 0) != (f & ~pre == 0):
                 return False
     for f in all_filters(alg):
         raw = 0

@@ -15,6 +15,8 @@ import os
 import sys
 import time
 from collections.abc import Iterator
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from .algebra import InvalidAlgebraError, ResiduatedLattice
 from .alpha import (alpha_closure, alpha_family, is_alpha_filter,
@@ -29,7 +31,7 @@ from .filters import all_filters, principal_generator
 from .io import (BUNDLED, NamedAlgebra, ParseError, bundled_names,
                  check_stream, iter_stream, load_bundled, render_algebra,
                  render_stream)
-from .report import ReportBuilder
+from .report import Encoded, ReportBuilder
 from .search import MAX_CARRIER, ZERO_STATS, mine
 from .spectrum import (hull_topology, is_compact, is_totally_disconnected,
                        is_zero_dimensional, maximal_filters, minimal_primes,
@@ -412,33 +414,78 @@ def _selection(known, what):
     return convert
 
 
-def _build_verify(args, rep, item, label, alg):
-    group_of = {ident: group for ident, _, group in registry_entries()}
-    reports = verify_suite(alg, idents=args.only, groups=args.group)
-    failed = 0
-    rep.line(f"{label}: {_count(len(reports), 'statement')}")
+# Indents in verify's JSON report: an algebra's "results" list, one row
+# of it, the row's keys, its "sides" pairs and the two parts of a pair.
+_RESULTS = " " * 6
+_ROW = _RESULTS + "  "
+_KEY = _ROW + "  "
+_SIDE = _KEY + "  "
+_PART = _SIDE + "  "
+_TRUTH = {True: "true", False: "false"}
+
+
+def _json_list(members, pad: str) -> str:
+    """A JSON list at indent pad of members already written."""
+    if not members:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(members) + f"\n{pad}]"
+
+
+@cache
+def _statement_rows() -> dict[str, tuple[str, str, str]]:
+    """Per statement id, the parts of its report rows that are the same
+    on every algebra: the text line after the mark, and the JSON row's
+    keys before "passed" and from "statement" to "witness"."""
+    rows = {}
+    for ident, text, group in registry_entries():
+        rows[ident] = (
+            f" [{group}] {ident}",
+            f'{{\n{_KEY}"group": {encode_basestring_ascii(group)},\n'
+            f'{_KEY}"ident": {encode_basestring_ascii(ident)},\n{_KEY}"passed": ',
+            f',\n{_KEY}"statement": {encode_basestring_ascii(text)},\n'
+            f'{_KEY}"witness": ')
+    return rows
+
+
+@cache
+def _sides_json(sides) -> str:
+    """A row's "sides" list.  A run meets few distinct ones: a law's
+    sides are one of two, an equivalence's differ only in its verdicts."""
+    return _json_list([f"[\n{_PART}{encode_basestring_ascii(desc)},\n"
+                       f"{_PART}{_TRUTH[ok]}\n{_SIDE}]" for desc, ok in sides],
+                      _KEY)
+
+
+def _results_json(reports) -> str:
+    """One algebra's "results" list, with the bytes ``report._dumps``
+    gives the rows as dicts: only passed, sides and witness are encoded
+    per row."""
+    parts = _statement_rows()
     rows = []
     for r in reports:
-        mark = "pass" if r.passed else "FAIL"
-        line = f"  {mark} [{group_of[r.ident]}] {r.ident}"
-        if not r.passed:
-            failed += 1
-            line += f" ({r.witness})"
-        rep.line(line)
-        # Only the JSON rendering reads the rows; text skips building them.
-        if args.format == "json":
-            rows.append({
-                "ident": r.ident,
-                "group": group_of[r.ident],
-                "statement": r.statement,
-                "passed": r.passed,
-                "witness": r.witness,
-                "sides": [[desc, ok] for desc, ok in r.sides],
-            })
-    rep.line(f"{label}: {len(reports) - failed} passed, {failed} failed")
-    item.update({"results": rows,
-                 "passed": len(reports) - failed,
-                 "failed": failed})
+        _, head, mid = parts[r.ident]
+        rows.append(f'{head}{_TRUTH[r.passed]},\n{_KEY}"sides": '
+                    f"{_sides_json(r.sides)}{mid}"
+                    f"{encode_basestring_ascii(r.witness)}\n{_ROW}}}")
+    return _json_list(rows, _RESULTS)
+
+
+def _build_verify(args, rep, item, label, alg):
+    reports = verify_suite(alg, idents=args.only, groups=args.group)
+    failed = sum(not r.passed for r in reports)
+    if args.format == "json":
+        item.update({"results": Encoded(_results_json(reports)),
+                     "passed": len(reports) - failed,
+                     "failed": failed})
+    else:
+        parts = _statement_rows()
+        rep.line(f"{label}: {_count(len(reports), 'statement')}")
+        for r in reports:
+            tail = parts[r.ident][0]
+            rep.line(f"  pass{tail}" if r.passed
+                     else f"  FAIL{tail} ({r.witness})")
+        rep.line(f"{label}: {len(reports) - failed} passed, {failed} failed")
     return EXIT_DOMAIN if failed else EXIT_OK
 
 

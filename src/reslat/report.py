@@ -6,7 +6,9 @@ exactly the lines added, the machine form is the data dictionary with
 sorted keys, so identical inputs render identical bytes.  The machine
 form is written directly, with the same bytes as
 ``json.dumps(data, sort_keys=True, indent=2)``, in about half the time
-and memory of that encoder, which is pure Python when it indents.
+and memory of that encoder, which is pure Python when it indents.  A
+command that writes part of its data itself stores that part as
+``Encoded`` text.
 """
 
 from __future__ import annotations
@@ -14,15 +16,21 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii
 
 
+class Encoded(str):
+    """JSON text already written at the indent where it is placed;
+    ``_dumps`` copies it as it is."""
+
+
 def _dumps(value, pad: str) -> str:
     """The JSON text of value, nested at indent pad.
 
     Handles what reports hold: dicts with string keys, lists, tuples,
-    strings, ints, booleans and None.  Each container joins the text of
-    its members, so only one branch's pieces are alive at a time.
+    strings, ints, booleans, None and ``Encoded`` text.  Each container
+    joins the text of its members, so only one branch's pieces are alive
+    at a time.
     """
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        return value if type(value) is Encoded else encode_basestring_ascii(value)
     if isinstance(value, dict):
         if not value:
             return "{}"

@@ -373,29 +373,31 @@ def _finite_principality(alg):
     """Extensions one member at a time, a route sharing no code with the
     principal filter, build the filter of a subset's product by induction
     from {1}: extending the filter of g by x gives the filter of g * x."""
+    rng = range(alg.n)
+    principal = [principal_filter(alg, x) for x in rng]
     for f in all_filters(alg):
         g = principal_generator(alg, f)
         yield (lambda: f"{alg.subset_str(f)} regenerated from {alg.names[g]}",
-               principal_filter(alg, g) == f)
-        for x in range(alg.n):
+               principal[g] == f)
+        for x, gx in enumerate(alg.prod[g]):
             yield (lambda: f"extension of {alg.subset_str(f)} by {alg.names[x]} "
                            f"vs its product",
-                   extend_filter(alg, f, x) == principal_filter(alg, alg.prod[g][x]))
+                   extend_filter(alg, f, x) == principal[gx])
 
 
 @law("filter-extension-law", "filters",
      "adjoining an element yields the closed-form extension, antitone in it")
 def _filter_extension_law(alg):
+    rng = range(alg.n)
     for f in all_filters(alg):
-        for x in range(alg.n):
-            ext = extend_filter(alg, f, x)
+        exts = [extend_filter(alg, f, x) for x in rng]
+        for x, ext in enumerate(exts):
             yield (lambda: f"extension of {alg.subset_str(f)} by {alg.names[x]}",
                    ext == generated_filter(alg, f | singleton(x)))
-            for y in range(alg.n):
-                if alg.leq(x, y):
-                    yield (lambda: f"extension antitone at {alg.names[x]} <= "
-                                   f"{alg.names[y]}",
-                           extend_filter(alg, f, y) & ~ext == 0)
+            for y in elements(alg.up[x]):
+                yield (lambda: f"extension antitone at {alg.names[x]} <= "
+                               f"{alg.names[y]}",
+                       exts[y] & ~ext == 0)
 
 
 @law("prime-pair-laws", "spectrum",
@@ -512,19 +514,21 @@ def _coannulet_arithmetic(alg):
         coannulet(alg, alg.bottom) == singleton(alg.top)
     yield (lambda: "top coannulet is everything",
            coannulet(alg, alg.top) == alg.universe)
-    for x in range(alg.n):
-        for y in range(alg.n):
-            jx, jy = view.index(coannulet(alg, x)), view.index(coannulet(alg, y))
+    rng = range(alg.n)
+    perps = [coannulet(alg, x) for x in rng]
+    pos = [view.index(p) for p in perps]
+    for x in rng:
+        px, jx = perps[x], view.join[pos[x]]
+        for y in rng:
+            py = perps[y]
             yield (lambda: f"join transfers at ({alg.names[x]}, {alg.names[y]})",
-                   view.keys[view.join[jx][jy]] == coannulet(alg, alg.join[x][y]))
+                   view.keys[jx[pos[y]]] == perps[alg.join[x][y]])
             yield (lambda: f"product and meet agree at ({alg.names[x]}, "
                            f"{alg.names[y]})",
-                   coannulet(alg, alg.prod[x][y]) ==
-                   coannulet(alg, alg.meet[x][y]) ==
-                   coannulet(alg, x) & coannulet(alg, y))
+                   perps[alg.prod[x][y]] == perps[alg.meet[x][y]] == px & py)
             if alg.leq(x, y):
                 yield (lambda: f"monotone at {alg.names[x]} <= {alg.names[y]}",
-                       coannulet(alg, x) & ~coannulet(alg, y) == 0)
+                       px & ~py == 0)
 
 
 @law("coannihilator-pseudocomplement", "coannihilators",
@@ -591,14 +595,15 @@ def _proper_coannihilators_avoid_dense(alg):
      "ideals induce filters monotonically, principal ideals giving coannulets")
 def _omega_filter_construction(alg):
     ideals = all_ideals(alg)
-    for i in ideals:
+    omegas = [omega_filter(alg, i) for i in ideals]
+    for i, oi in zip(ideals, omegas):
         yield (lambda: f"image of ideal {alg.subset_str(i)} is a filter",
-               is_filter(alg, omega_filter(alg, i)))
-        for j in ideals:
+               is_filter(alg, oi))
+        for j, oj in zip(ideals, omegas):
             if i & ~j == 0:
                 yield (lambda: f"monotone at {alg.subset_str(i)} in "
                                f"{alg.subset_str(j)}",
-                       omega_filter(alg, i) & ~omega_filter(alg, j) == 0)
+                       oi & ~oj == 0)
     for x in range(alg.n):
         yield (lambda: f"principal ideal of {alg.names[x]} maps to its coannulet",
                omega_filter(alg, alg.down[x]) == coannulet(alg, x))
@@ -678,9 +683,10 @@ def _filter_to_cohull_map(alg):
     m = maps["filter to cohull"]
     yield lambda: "order preserving homomorphism onto the cohulls", \
         m.kind == "lattice homomorphism" and m.surjective
-    for f in all_filters(alg):
-        for g in all_filters(alg):
-            cf, cg = cohull(alg, f), cohull(alg, g)
+    fam = all_filters(alg)
+    cohulls = [cohull(alg, f) for f in fam]
+    for f, cf in zip(fam, cohulls):
+        for g, cg in zip(fam, cohulls):
             yield (lambda: f"join goes to union at ({alg.subset_str(f)}, "
                    f"{alg.subset_str(g)})",
                    cohull(alg, filter_join(alg, f, g)) == (cf | cg))
@@ -775,17 +781,18 @@ def _alpha_closure_laws(alg):
            alpha_closure(alg, singleton(alg.top)) == singleton(alg.top))
     yield (lambda: "whole carrier is closed",
            alpha_closure(alg, alg.universe) == alg.universe)
-    for f in all_filters(alg):
-        c = alpha_closure(alg, f)
+    filters = all_filters(alg)
+    closures = [alpha_closure(alg, f) for f in filters]
+    for f, c in zip(filters, closures):
         yield lambda: f"extensive at {alg.subset_str(f)}", f & ~c == 0
         yield (lambda: f"idempotent at {alg.subset_str(f)}",
                alpha_closure(alg, c) == c)
         yield (lambda: f"closure of {alg.subset_str(f)} lands in the family",
                c in fam)
-        for g in all_filters(alg):
+        for g, cg in zip(filters, closures):
             yield (lambda: f"meets preserved at ({alg.subset_str(f)}, "
                            f"{alg.subset_str(g)})",
-                   alpha_closure(alg, f & g) == c & alpha_closure(alg, g))
+                   alpha_closure(alg, f & g) == c & cg)
     for u in coannihilator_family(alg):
         yield (lambda: f"coannihilator {alg.subset_str(u)} is closed",
                u in fam)
@@ -812,16 +819,16 @@ def _alpha_frame_structure(alg):
 @law("alpha-extension-law", "alpha",
      "closed extensions obey the closed form and meet along joins")
 def _alpha_extension_law(alg):
+    rng = range(alg.n)
     for q in alpha_family(alg):
-        for a in range(alg.n):
-            ext_a = alpha_extend(alg, q, a)
+        exts = [alpha_extend(alg, q, a) for a in rng]
+        for a, ext_a in enumerate(exts):
             yield (lambda: f"extension of {alg.subset_str(q)} by {alg.names[a]}",
                    ext_a == alpha_closure(alg, q | singleton(a)))
-            for b in range(alg.n):
-                lhs = ext_a & alpha_extend(alg, q, b)
-                rhs = alpha_extend(alg, q, alg.join[a][b])
+            for b, j in enumerate(alg.join[a]):
                 yield (lambda: f"extension meets at ({alg.subset_str(q)}, "
-                       f"{alg.names[a]}, {alg.names[b]})", lhs == rhs)
+                       f"{alg.names[a]}, {alg.names[b]})",
+                       ext_a & exts[b] == exts[j])
 
 
 @law("transfer-isomorphism", "alpha",

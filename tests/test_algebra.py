@@ -12,6 +12,7 @@ import tables as tb
 from conftest import build, catalog5, mask_of
 from gen import boolean, godel, luk
 from reslat import InvalidAlgebraError, PreconditionError, check_tables, validate
+from reslat.algebra import derived
 from reslat.alpha import alpha_lattice
 from reslat.classify import classification
 from reslat.coann import all_ideals, canonical_ideal_of, omega_family
@@ -197,4 +198,54 @@ def test_derived_memoises_results_and_not_errors(a7):
     assert canonical_ideal_of.__name__ == "canonical_ideal_of"
     assert canonical_ideal_of.__doc__.startswith("The largest ideal inducing")
     assert all_ideals.__wrapped__(a7) == all_ideals(a7)
+
+
+def test_derived_memoises_per_slot_by_arity():
+    """A derived value's slot in vars(obj) is its function's dotted name.
+    With no argument the slot holds the value, with one a dict keyed by
+    it, with more a dict keyed by their tuple.  A call that raises
+    leaves nothing behind and runs again."""
+    calls = []
+
+    def body(obj, *args):
+        calls.append(args)
+        if -1 in args:
+            raise ValueError("refused")
+        return [obj.n, *args]
+
+    @derived
+    def zero(obj):
+        return body(obj)
+
+    @derived
+    def zero_fails(obj):
+        return body(obj, -1)
+
+    @derived
+    def one(obj, x):
+        return body(obj, x)
+
+    @derived
+    def two(obj, x, y):
+        return body(obj, x, y)
+
+    def slot(fn):
+        return f"{fn.__module__}.{fn.__qualname__}"
+
+    alg = build(tb.A7)
+    value = zero(alg)
+    assert zero(alg) is value and vars(alg)[slot(zero)] is value
+    assert one(alg, 3) is one(alg, 3)
+    assert two(alg, 3, 4) is two(alg, 3, 4)
+    assert calls == [(), (3,), (3, 4)]
+    for fn, bad in ((zero_fails, ()), (one, (-1,)), (two, (3, -1))):
+        for _ in range(2):
+            with pytest.raises(ValueError) as exc:
+                fn(alg, *bad)
+            assert exc.value.__context__ is None
+    assert calls[3:] == [(-1,)] * 4 + [(3, -1)] * 2
+    assert slot(zero_fails) not in vars(alg)
+    assert vars(alg)[slot(one)] == {3: [7, 3]}
+    assert vars(alg)[slot(two)] == {(3, 4): [7, 3, 4]}
+    assert [f.__wrapped__.__name__ for f in (zero, one, two)] == ["zero", "one", "two"]
 

@@ -13,7 +13,10 @@ import tables as tb
 from conftest import build
 import reslat.cli
 from reslat.cli import main
+from reslat.algebra import validate
+from reslat.classify import ClassificationResult
 from reslat.io import parse_stream, render_algebra, render_stream, NamedAlgebra
+from reslat.suite import registry_entries, verify_suite
 
 
 def run(capsys, *argv):
@@ -170,6 +173,90 @@ def test_verify_json_shape(capsys):
     first = entry["results"][0]
     assert set(first) == {"ident", "group", "statement", "passed",
                           "witness", "sides"}
+
+
+# a7 with element names and a label that JSON must escape: a quote, a
+# backslash and characters outside ASCII.
+ODD_NAMES = ("0", 'a"', "b", "c", "d\\", "é→", "1")
+ODD_LABEL = 'odd "a7" \\ Łukasiewicz'
+
+
+@pytest.fixture
+def spoilt_odd_a7(tmp_path, monkeypatch):
+    """A file with the renamed a7 twice, labelled and not, and a suite
+    that fails three statements on it: two laws that call extend_filter,
+    which is spoilt at one input as in tests/test_suite.py, and the weak
+    disjunctivity equivalence, with one of its five routes flipped."""
+    import reslat.suite
+    a7 = build(tb.A7)
+    alg = validate(ODD_NAMES, a7.join, a7.meet, a7.prod, a7.impl, a7.bottom, a7.top)
+    path = tmp_path / "odd.alg"
+    path.write_text(render_stream([NamedAlgebra(ODD_LABEL, alg),
+                                   NamedAlgebra(None, alg)]), encoding="utf-8")
+
+    real_extend = reslat.suite.extend_filter
+    bad = (0b1100000, 4)  # the filter {é→, 1} and the element d\
+
+    def extend_filter(alg, f, x):
+        out = real_extend(alg, f, x)
+        return out ^ 1 if (f, x) == bad else out
+
+    real_classification = reslat.suite.classification
+
+    def classification(alg):
+        res = real_classification(alg)
+        (label, ok), *rest = res.routes["weakly disjunctive"]
+        routes = {**res.routes, "weakly disjunctive": ((label, not ok), *rest)}
+        return ClassificationResult(res.quasicomplemented, res.disjunctive,
+                                    res.weakly_disjunctive, res.lattice_boolean,
+                                    res.filter_lattice_boolean, routes)
+
+    monkeypatch.setattr(reslat.suite, "extend_filter", extend_filter)
+    monkeypatch.setattr(reslat.suite, "classification", classification)
+    return path, alg
+
+
+def suite_rows(alg, idents=None, groups=None) -> list[dict]:
+    """verify's JSON rows for one algebra, built from the suite's reports."""
+    group_of = {ident: group for ident, _, group in registry_entries()}
+    return [{"group": group_of[r.ident], "ident": r.ident,
+             "passed": r.passed, "sides": [list(side) for side in r.sides],
+             "statement": r.statement, "witness": r.witness}
+            for r in verify_suite(alg, idents, groups)]
+
+
+FAILING = ("finite-principality", "filter-extension-law",
+           "weakly-disjunctive-equivalences")
+
+
+@pytest.mark.parametrize("selection, idents, groups, failing", [
+    ((), None, None, FAILING),
+    (("--only", "filter-extension-law,weakly-disjunctive-equivalences"),
+     ("filter-extension-law", "weakly-disjunctive-equivalences"), None,
+     FAILING[1:]),
+    (("--group", "classification,filters"), None, ("classification", "filters"),
+     FAILING),
+])
+def test_verify_json_failures_are_the_standard_encoding(
+        capsys, spoilt_odd_a7, selection, idents, groups, failing):
+    """verify writes its result rows itself; with failing statements,
+    escaped names and labels, and a selection, its bytes are still those
+    of the standard encoder on the data, and the data is the suite's."""
+    path, alg = spoilt_odd_a7
+    code, out = run(capsys, "verify", str(path), *selection, "--format", "json")
+    assert code == 1
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+    rows = suite_rows(alg, idents, groups)
+    bad = {r["ident"]: r for r in rows if not r["passed"]}
+    assert tuple(bad) == failing
+    law = bad["filter-extension-law"]
+    assert law["sides"] == [["holds", False]]
+    assert law["witness"] == 'fails at extension antitone at a" <= d\\'
+    assert len(bad["weakly-disjunctive-equivalences"]["sides"]) == 5
+    assert json.loads(out) == {"command": "verify", "algebras": [
+        {"label": label, "passed": len(rows) - len(bad), "failed": len(bad),
+         "results": rows}
+        for label in (ODD_LABEL, "odd#2")]}
 
 
 QC_ROUTES = (
