@@ -121,6 +121,61 @@ def test_empty_stream():
         parse_document("# only a comment\n")
 
 
+@pytest.mark.parametrize("text", [
+    "---\n", "---", "---\n# only a comment\n", "# a comment\n---\n",
+    "\n---\n\n", "", "\n  \n\t\n",
+], ids=["lone-separator", "lone-separator-no-newline", "separator-comment",
+        "comment-separator", "blank-separator-blank", "empty", "blank"])
+def test_streams_with_no_document_text_are_empty(text):
+    with pytest.raises(ParseError, match=r"^line 1: empty stream$"):
+        parse_stream(text)
+
+
+@pytest.mark.parametrize("text", [
+    "# only a comment\n", "\n# a comment\n\n# and another", "#\n   # indented\n",
+])
+def test_comment_only_streams_hold_no_document(text):
+    assert parse_stream(text) == ()
+
+
+@pytest.mark.parametrize("tail", ["---\n", "---", "---\n\n", "---\n# end\n"])
+def test_one_trailing_separator_closes_the_last_document(tail):
+    docs = parse_stream(GOOD + tail)
+    assert [d.label for d in docs] == ["two"]
+    docs = parse_stream(GOOD + "---\n" + GOOD + tail)
+    assert [d.label for d in docs] == ["two", "two"]
+
+
+@pytest.mark.parametrize("text, line", [
+    (GOOD + "---\n---\n" + GOOD, 18),
+    (GOOD + "---\n# nothing\n\n---\n" + GOOD, 18),
+    ("---\n" + GOOD, 1),
+    ("---\n---\n", 1),
+    (GOOD + "---\n---\n---\n", 18),
+], ids=["middle", "middle-comment", "leading", "two-separators",
+        "two-trailing"])
+def test_empty_document_between_separators_names_its_line(text, line):
+    """An empty document followed by a separator or by another document
+    is an error at its first line, which is the line after the separator
+    before it."""
+    with pytest.raises(ParseError,
+                       match=rf"^line {line}: document has no elements line$"):
+        parse_stream(text)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r", "\f"], ids=["crlf", "cr", "ff"])
+def test_other_line_ends_keep_line_numbers(end):
+    """Line ends are those of str.splitlines: a form feed ends a line as
+    CRLF and CR do, and errors give the same line numbers as with LF."""
+    docs = parse_stream((GOOD + "---\n" + GOOD).replace("\n", end))
+    assert [d.label for d in docs] == ["two", "two"]
+    bad = GOOD + "---\n" + GOOD.replace("meet:\n0 0\n0 1\n", "meet:\n0 0 0\n0 1\n")
+    with pytest.raises(ParseError, match=r"^line 26: row has 3 entries; expected 2$"):
+        parse_stream(bad.replace("\n", end))
+    with pytest.raises(ParseError, match=r"^line 1: empty stream$"):
+        parse_stream(f"---{end}{end}")
+
+
 def test_parse_document_rejects_streams():
     with pytest.raises(ParseError, match="expected one document, found 2"):
         parse_document(GOOD + "---\n" + GOOD)
