@@ -1,11 +1,14 @@
 """Command line front end.
 
 Every command reads algebra documents (files, bundled names, or stdin),
-prints a deterministic report on stdout, and signals through the exit
+writes a deterministic report on stdout, and signals through the exit
 code: 0 for success, 1 when the mathematics says no (invalid tables,
 failed statements), 2 for an internal consistency bug, 64 for unusable
-input or arguments.  Timing goes to stderr so stdout stays byte for
-byte reproducible.
+input or arguments.  Every input is read before the first document is
+analysed, so an unusable one writes nothing; then each document's block
+is written when it is built, and a document that fails leaves stdout
+holding the blocks before it.  Timing goes to stderr so stdout stays
+byte for byte reproducible.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import argparse
 import os
 import sys
 import time
-from collections.abc import Iterator
 from functools import cache
+from itertools import starmap
 from json.encoder import encode_basestring_ascii
 
 from .algebra import InvalidAlgebraError, ResiduatedLattice
@@ -29,9 +32,9 @@ from .coann import (all_ideals, coannihilator_family, coannihilator_lattice,
 from .errors import InternalCheckError, PreconditionError
 from .filters import all_filters, principal_generator
 from .io import (BUNDLED, NamedAlgebra, ParseError, bundled_names,
-                 check_stream, iter_stream, load_bundled, render_algebra,
-                 render_stream)
-from .report import Encoded, ReportBuilder
+                 check_document, load_bundled, render_algebra, render_stream,
+                 split_stream)
+from .report import ITEM_PAD, Encoded, _dumps, write_report
 from .search import MAX_CARRIER, ZERO_STATS, mine
 from .spectrum import (hull_topology, is_compact, is_totally_disconnected,
                        is_zero_dimensional, maximal_filters, minimal_primes,
@@ -70,80 +73,65 @@ def _names(alg: ResiduatedLattice, mask: int) -> list[str]:
 
 # -- input handling --------------------------------------------------------
 
-def _read_source(token: str) -> tuple[str, str]:
-    """Return (stem for fallback labels, document text)."""
+def _read_source(token: str) -> tuple[str, str, str]:
+    """Return (token, stem for fallback labels, document text)."""
     if token == "-":
-        return "stdin", sys.stdin.read()
+        return token, "stdin", sys.stdin.read()
     if os.path.exists(token):
         base = os.path.basename(token)
         stem = base.rsplit(".", 1)[0] if "." in base else base
         try:
             with open(token, encoding="utf-8") as fh:
-                return stem, fh.read()
+                return token, stem, fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise PreconditionError(f"cannot read {token!r}: {exc}") from exc
     if token in BUNDLED:
         doc = load_bundled(token)
-        return token, render_algebra(doc.algebra, doc.label)
+        return token, token, render_algebra(doc.algebra, doc.label)
     raise PreconditionError(
         f"no such file or bundled algebra: {token!r} "
         f"(bundled names: {', '.join(bundled_names())})")
 
 
-def _label_docs(stem, docs):
-    """(label, document) per document: its own label, else the source's
-    stem, numbered when the source holds more than one document."""
-    docs = iter(docs)
-    ahead = next(docs, None)
-    i = 0
-    while ahead is not None:
-        doc, ahead = ahead, next(docs, None)
-        i += 1
-        label = doc.label
-        if label is None:
-            label = stem if i == 1 and ahead is None else f"{stem}#{i}"
-        yield label, doc
-
-
-def _load_algebras(tokens) -> Iterator[tuple[str, ResiduatedLattice]]:
-    """Every document of every source, each parsed when reached."""
-    for token in tokens:
-        stem, text = _read_source(token)
-        try:
-            for label, doc in _label_docs(stem, iter_stream(text)):
-                yield label, doc.algebra
-        except InvalidAlgebraError as exc:
-            raise _DomainError(f"{token}: {exc}") from exc
+def _label_docs(sources):
+    """(token, label if the document names none, verdict) per document
+    of the sources read, each parsed when reached and not kept.  The
+    label is the source's stem, numbered when the source holds more than
+    one document, as the next document's raw lines tell."""
+    for token, stem, text in sources:
+        docs = split_stream(text)
+        ahead = next(docs, None)
+        i = 0
+        while ahead is not None:
+            doc, ahead = ahead, next(docs, None)
+            i += 1
+            yield (token, stem if i == 1 and ahead is None else f"{stem}#{i}",
+                   check_document(*doc))
 
 
 # -- commands --------------------------------------------------------------
 
 def _cmd_validate(args) -> int:
-    rep = ReportBuilder("validate")
-    items = []
-    bad = 0
-    for token in args.inputs:
-        stem, text = _read_source(token)
-        for label, ck in _label_docs(stem, check_stream(text)):
-            item = {"label": label, "valid": ck.valid}
-            if ck.valid:
-                rep.line(f"{label}: valid ({ck.algebra.n} elements)")
-                item["elements"] = ck.algebra.n
-            else:
-                bad += 1
-                laws = sorted({v.law for v in ck.violations})
-                rep.line(f"{label}: INVALID ({', '.join(laws)})")
-                for v in ck.violations:
-                    rep.line(f"  {v.law}: {v.detail}")
-                item["violations"] = [
-                    {"law": v.law, "witness": list(v.witness),
-                     "detail": v.detail}
-                    for v in ck.violations]
-            items.append(item)
-    rep.set("documents", items)
-    rep.set("invalid", bad)
-    sys.stdout.write(rep.emit(args.format))
-    return EXIT_DOMAIN if bad else EXIT_OK
+    sources = [_read_source(token) for token in args.inputs]
+    data = {"command": "validate", "invalid": 0}
+
+    def block(token, label, ck):
+        label = label if ck.label is None else ck.label
+        item = {"label": label, "valid": ck.valid}
+        if ck.valid:
+            item["elements"] = ck.algebra.n
+            return [f"{label}: valid ({ck.algebra.n} elements)"], item
+        data["invalid"] += 1
+        laws = sorted({v.law for v in ck.violations})
+        item["violations"] = [
+            {"law": v.law, "witness": list(v.witness), "detail": v.detail}
+            for v in ck.violations]
+        return [f"{label}: INVALID ({', '.join(laws)})",
+                *(f"  {v.law}: {v.detail}" for v in ck.violations)], item
+
+    write_report(sys.stdout, args.format, data, "documents",
+                 starmap(block, _label_docs(sources)), "")
+    return EXIT_DOMAIN if data["invalid"] else EXIT_OK
 
 
 def _covers_text(alg: ResiduatedLattice) -> str:
@@ -155,34 +143,34 @@ def _covers_text(alg: ResiduatedLattice) -> str:
 
 
 def _per_doc(command, args, build) -> int:
-    """Shared frame: one text block and one data record per document.
+    """Shared frame: one text block and one data item per document,
+    each parsed, analysed and written, and its algebra with all that was
+    derived from it freed, before the next one is split off."""
+    sources = [_read_source(token) for token in args.inputs]
+    codes = {EXIT_OK}
 
-    Documents are parsed one at a time, and each algebra, with all that
-    was derived from it, is freed before the next one is analysed.
-    """
-    rep = ReportBuilder(command)
-    items = []
-    worst = EXIT_OK
-    for i, (label, alg) in enumerate(_load_algebras(args.inputs)):
-        if i:
-            rep.line()
-        item = {"label": label}
-        worst = max(worst, build(args, rep, item, label, alg) or EXIT_OK)
-        items.append(item)
-    rep.set("algebras", items)
-    sys.stdout.write(rep.emit(args.format))
-    return worst
+    def block(token, label, ck):
+        label = label if ck.label is None else ck.label
+        if not ck.valid:
+            raise _DomainError(f"{token}: {InvalidAlgebraError(ck.violations)}")
+        lines, item = [], {"label": label}
+        codes.add(build(args, lines.append, item, label, ck.algebra) or EXIT_OK)
+        return lines, item
+
+    write_report(sys.stdout, args.format, {"command": command}, "algebras",
+                 starmap(block, _label_docs(sources)), "\n")
+    return max(codes)
 
 
-def _build_info(args, rep, item, label, alg):
+def _build_info(args, line, item, label, alg):
     verdicts = {name: verdict(alg) for name, verdict in VERDICTS.items()}
-    rep.line(f"{label}: {alg.n} elements, bottom {alg.names[alg.bottom]}, "
-             f"top {alg.names[alg.top]}")
+    line(f"{label}: {alg.n} elements, bottom {alg.names[alg.bottom]}, "
+         f"top {alg.names[alg.top]}")
     if alg.n > 1:
-        rep.line(f"  order: {_covers_text(alg)}")
-    rep.line(f"  dense elements: {alg.subset_str(alg.dense_elements)}")
-    rep.line(f"  nilpotents: {alg.subset_str(alg.nilpotents)}")
-    rep.line(f"  boolean center: {alg.subset_str(alg.boolean_center)}")
+        line(f"  order: {_covers_text(alg)}")
+    line(f"  dense elements: {alg.subset_str(alg.dense_elements)}")
+    line(f"  nilpotents: {alg.subset_str(alg.nilpotents)}")
+    line(f"  boolean center: {alg.subset_str(alg.boolean_center)}")
     counts = {
         "filters": len(all_filters(alg)),
         "prime filters": len(prime_filters(alg)),
@@ -193,12 +181,12 @@ def _build_info(args, rep, item, label, alg):
         "lattice ideals": len(all_ideals(alg)),
         "alpha filters": len(alpha_family(alg)),
     }
-    rep.line("  " + ", ".join(f"{k} {v}" for k, v in counts.items()))
-    rep.line(f"  quasicomplemented {_yes(verdicts['quasicomplemented'])}, "
-             f"disjunctive {_yes(verdicts['disjunctive'])}, "
-             f"weakly disjunctive {_yes(verdicts['weakly_disjunctive'])}")
-    rep.line(f"  element lattice Boolean {_yes(verdicts['lattice_boolean'])}, "
-             f"filter lattice Boolean {_yes(verdicts['filter_lattice_boolean'])}")
+    line("  " + ", ".join(f"{k} {v}" for k, v in counts.items()))
+    line(f"  quasicomplemented {_yes(verdicts['quasicomplemented'])}, "
+         f"disjunctive {_yes(verdicts['disjunctive'])}, "
+         f"weakly disjunctive {_yes(verdicts['weakly_disjunctive'])}")
+    line(f"  element lattice Boolean {_yes(verdicts['lattice_boolean'])}, "
+         f"filter lattice Boolean {_yes(verdicts['filter_lattice_boolean'])}")
     item.update({
         "elements": list(alg.names),
         "bottom": alg.names[alg.bottom],
@@ -212,13 +200,13 @@ def _build_info(args, rep, item, label, alg):
     })
 
 
-def _build_filters(args, rep, item, label, alg):
+def _build_filters(args, line, item, label, alg):
     fam = all_filters(alg)
     primes = prime_filters(alg)
     maxima = maximal_filters(alg)
     minima = minimal_primes(alg)
     alphas = alpha_family(alg)
-    rep.line(f"{label}: {_count(len(fam), 'filter')}")
+    line(f"{label}: {_count(len(fam), 'filter')}")
     rows = []
     for f in fam:
         gen = alg.names[principal_generator(alg, f)]
@@ -232,7 +220,7 @@ def _build_filters(args, rep, item, label, alg):
         if f in alphas:
             flags.append("alpha")
         tail = f"; {' '.join(flags)}" if flags else ""
-        rep.line(f"  {alg.subset_str(f)}: generator {gen}{tail}")
+        line(f"  {alg.subset_str(f)}: generator {gen}{tail}")
         rows.append({
             "members": _names(alg, f),
             "generator": gen,
@@ -249,18 +237,18 @@ def _point_set(mask: int, count: int) -> str:
     return "{" + inside + "}"
 
 
-def _build_spectrum(args, rep, item, label, alg):
+def _build_spectrum(args, line, item, label, alg):
     primes = prime_filters(alg)
     minima = minimal_primes(alg)
     maxima = maximal_filters(alg)
-    rep.line(f"{label}: {_count(len(primes), 'prime filter')}")
+    line(f"{label}: {_count(len(primes), 'prime filter')}")
     rows = []
     for p in primes:
         flags = "".join(
             [" minimal" if p in minima else "",
              " maximal" if p in maxima else ""])
         core = prime_core(alg, p)
-        rep.line(f"  {alg.subset_str(p)}: prime{flags}, core {alg.subset_str(core)}")
+        line(f"  {alg.subset_str(p)}: prime{flags}, core {alg.subset_str(core)}")
         rows.append({
             "members": _names(alg, p),
             "minimal": p in minima,
@@ -271,18 +259,18 @@ def _build_spectrum(args, rep, item, label, alg):
     k = len(topo.points)
     legend = ", ".join(f"P{i} = {alg.subset_str(p)}"
                        for i, p in enumerate(topo.points))
-    rep.line(f"  points: {legend}" if k else "  points: none")
-    rep.line("  opens: " + "; ".join(_point_set(u, k) for u in topo.opens))
+    line(f"  points: {legend}" if k else "  points: none")
+    line("  opens: " + "; ".join(_point_set(u, k) for u in topo.opens))
     verdicts = {
         "compact": is_compact(topo),
         "zero_dimensional": is_zero_dimensional(topo),
         "totally_disconnected": is_totally_disconnected(topo),
         "dual_topology_agrees": topologies_equal(alg),
     }
-    rep.line(f"  compact {_yes(verdicts['compact'])}, "
-             f"zero dimensional {_yes(verdicts['zero_dimensional'])}, "
-             f"totally disconnected {_yes(verdicts['totally_disconnected'])}, "
-             f"dual topology agrees {_yes(verdicts['dual_topology_agrees'])}")
+    line(f"  compact {_yes(verdicts['compact'])}, "
+         f"zero dimensional {_yes(verdicts['zero_dimensional'])}, "
+         f"totally disconnected {_yes(verdicts['totally_disconnected'])}, "
+         f"dual topology agrees {_yes(verdicts['dual_topology_agrees'])}")
     item.update({
         "primes": rows,
         "points": [_names(alg, p) for p in topo.points],
@@ -292,13 +280,13 @@ def _build_spectrum(args, rep, item, label, alg):
     item.update(verdicts)
 
 
-def _build_coann(args, rep, item, label, alg):
-    rep.line(f"{label}:")
-    rep.line("  coannulets:")
+def _build_coann(args, line, item, label, alg):
+    line(f"{label}:")
+    line("  coannulets:")
     per_element = {}
     for x in range(alg.n):
         cx = coannulet(alg, x)
-        rep.line(f"    {alg.names[x]} -> {alg.subset_str(cx)}")
+        line(f"    {alg.names[x]} -> {alg.subset_str(cx)}")
         per_element[alg.names[x]] = _names(alg, cx)
     co_fam = coannihilator_family(alg)
     cu_fam = coannulet_family(alg)
@@ -306,14 +294,14 @@ def _build_coann(args, rep, item, label, alg):
     coincide = tuple(co_fam) == tuple(cu_fam)
     omega_match = tuple(om_fam) == tuple(cu_fam)
     boolean = is_boolean(coannihilator_lattice(alg))
-    rep.line(f"  coannihilator family ({len(co_fam)}): "
-             + "; ".join(alg.subset_str(f) for f in co_fam))
-    rep.line(f"  coannulets give every coannihilator: {_yes(coincide)}")
-    rep.line(f"  coannihilator lattice Boolean: {_yes(boolean)}")
-    rep.line(f"  ideal sweep filters ({len(om_fam)}) match coannulets: "
-             + _yes(omega_match))
-    rep.line(f"  lattice ideals: {len(all_ideals(alg))}")
-    rep.line(f"  dense elements: {alg.subset_str(alg.dense_elements)}")
+    line(f"  coannihilator family ({len(co_fam)}): "
+         + "; ".join(alg.subset_str(f) for f in co_fam))
+    line(f"  coannulets give every coannihilator: {_yes(coincide)}")
+    line(f"  coannihilator lattice Boolean: {_yes(boolean)}")
+    line(f"  ideal sweep filters ({len(om_fam)}) match coannulets: "
+         + _yes(omega_match))
+    line(f"  lattice ideals: {len(all_ideals(alg))}")
+    line(f"  dense elements: {alg.subset_str(alg.dense_elements)}")
     item.update({
         "coannulets": per_element,
         "coannihilators": [_names(alg, f) for f in co_fam],
@@ -325,27 +313,27 @@ def _build_coann(args, rep, item, label, alg):
     })
 
 
-def _build_alpha(args, rep, item, label, alg):
+def _build_alpha(args, line, item, label, alg):
     fam = alpha_family(alg)
-    rep.line(f"{label}: {_count(len(fam), 'alpha filter')}")
-    rep.line("  family: " + "; ".join(alg.subset_str(f) for f in fam))
+    line(f"{label}: {_count(len(fam), 'alpha filter')}")
+    line("  family: " + "; ".join(alg.subset_str(f) for f in fam))
     closures = []
     for f in all_filters(alg):
         if not is_alpha_filter(alg, f):
             closures.append((f, alpha_closure(alg, f)))
     if closures:
-        rep.line("  closures of the non alpha filters:")
+        line("  closures of the non alpha filters:")
         for f, c in closures:
-            rep.line(f"    {alg.subset_str(f)} -> {alg.subset_str(c)}")
+            line(f"    {alg.subset_str(f)} -> {alg.subset_str(c)}")
     else:
-        rep.line("  every filter is already alpha closed")
+        line("  every filter is already alpha closed")
     pa = prime_alpha_filters(alg)
     match_minimal = tuple(pa) == tuple(minimal_primes(alg))
     transfer = transfer_roundtrip_check(alg)
-    rep.line(f"  prime alpha filters ({len(pa)}): "
-             + ("; ".join(alg.subset_str(p) for p in pa) if len(pa) else "none"))
-    rep.line(f"  prime alpha filters are the minimal primes: {_yes(match_minimal)}")
-    rep.line(f"  transfer to coannulet lattice filters round trips: {_yes(transfer)}")
+    line(f"  prime alpha filters ({len(pa)}): "
+         + ("; ".join(alg.subset_str(p) for p in pa) if len(pa) else "none"))
+    line(f"  prime alpha filters are the minimal primes: {_yes(match_minimal)}")
+    line(f"  transfer to coannulet lattice filters round trips: {_yes(transfer)}")
     item.update({
         "family": [_names(alg, f) for f in fam],
         "closures": [{"filter": _names(alg, f), "closure": _names(alg, c)}
@@ -356,7 +344,7 @@ def _build_alpha(args, rep, item, label, alg):
     })
 
 
-def _build_classify(args, rep, item, label, alg):
+def _build_classify(args, line, item, label, alg):
     cl = classification(alg)
     verdicts = (
         ("quasicomplemented", cl.quasicomplemented),
@@ -365,27 +353,27 @@ def _build_classify(args, rep, item, label, alg):
         ("lattice Boolean", cl.lattice_boolean),
         ("filter lattice Boolean", cl.filter_lattice_boolean),
     )
-    rep.line(f"{label}:")
+    line(f"{label}:")
     for name, verdict in verdicts:
-        rep.line(f"  {name}: {_yes(verdict)}")
+        line(f"  {name}: {_yes(verdict)}")
         for desc, ok in cl.routes[name]:
-            rep.line(f"    - {desc}: {_yes(ok)}")
+            line(f"    - {desc}: {_yes(ok)}")
     maps = structure_maps(alg)
-    rep.line("  structure maps:")
+    line("  structure maps:")
     map_rows = []
     for name, m in maps.items():
-        rep.line(f"    {name}: {m.kind}, injective {_yes(m.injective)}, "
-                 f"surjective {_yes(m.surjective)}")
+        line(f"    {name}: {m.kind}, injective {_yes(m.injective)}, "
+             f"surjective {_yes(m.surjective)}")
         map_rows.append({"name": name, "kind": m.kind,
                          "injective": m.injective, "surjective": m.surjective})
     named = congruence_classes_named(
         alg, element_kernel_by_coannulet(alg), element_lattice(alg))
-    rep.line("  element classes sharing a coannulet: "
-             + " | ".join("{" + ", ".join(c) + "}" for c in named))
+    line("  element classes sharing a coannulet: "
+         + " | ".join("{" + ", ".join(c) + "}" for c in named))
     spectral = congruence_classes_named(
         alg, filter_kernel_spectral(alg), filter_lattice(alg))
-    rep.line("  filter classes sharing a cohull: "
-             + " | ".join("{" + ", ".join(c) + "}" for c in spectral))
+    line("  filter classes sharing a cohull: "
+         + " | ".join("{" + ", ".join(c) + "}" for c in spectral))
     item.update({
         "quasicomplemented": cl.quasicomplemented,
         "disjunctive": cl.disjunctive,
@@ -416,7 +404,7 @@ def _selection(known, what):
 
 # Indents in verify's JSON report: an algebra's "results" list, one row
 # of it, the row's keys, its "sides" pairs and the two parts of a pair.
-_RESULTS = " " * 6
+_RESULTS = ITEM_PAD + "  "
 _ROW = _RESULTS + "  "
 _KEY = _ROW + "  "
 _SIDE = _KEY + "  "
@@ -471,7 +459,7 @@ def _results_json(reports) -> str:
     return _json_list(rows, _RESULTS)
 
 
-def _build_verify(args, rep, item, label, alg):
+def _build_verify(args, line, item, label, alg):
     reports = verify_suite(alg, idents=args.only, groups=args.group)
     failed = sum(not r.passed for r in reports)
     if args.format == "json":
@@ -480,12 +468,12 @@ def _build_verify(args, rep, item, label, alg):
                      "failed": failed})
     else:
         parts = _statement_rows()
-        rep.line(f"{label}: {_count(len(reports), 'statement')}")
+        line(f"{label}: {_count(len(reports), 'statement')}")
         for r in reports:
             tail = parts[r.ident][0]
-            rep.line(f"  pass{tail}" if r.passed
-                     else f"  FAIL{tail} ({r.witness})")
-        rep.line(f"{label}: {len(reports) - failed} passed, {failed} failed")
+            line(f"  pass{tail}" if r.passed
+                 else f"  FAIL{tail} ({r.witness})")
+        line(f"{label}: {len(reports) - failed} passed, {failed} failed")
     return EXIT_DOMAIN if failed else EXIT_OK
 
 
@@ -493,11 +481,12 @@ def _cmd_search(args) -> int:
     if not 1 <= args.max_size <= MAX_CARRIER:
         raise PreconditionError(f"max size must be between 1 and {MAX_CARRIER}")
 
-    rep = ReportBuilder("search")
+    lines = []
+    line = lines.append
     # The summary lines are comments, so that the --render output parses as
     # a document stream.
-    rep.line(f"# search through carriers of at most {args.max_size} elements")
-    rep.line(f"# predicate: {args.predicate}")
+    line(f"# search through carriers of at most {args.max_size} elements")
+    line(f"# predicate: {args.predicate}")
     per_size = []
     # The matching algebras are kept only for --render.
     matches = []
@@ -512,36 +501,37 @@ def _cmd_search(args) -> int:
             "algebras": res.stats.emitted,
             "matching": len(res.matches),
         })
-        rep.line(f"#   size {n}: {_count(res.lattices, 'lattice')}, "
-                 f"{_count(res.stats.emitted, 'algebra')}, "
-                 f"{len(res.matches)} matching")
+        line(f"#   size {n}: {_count(res.lattices, 'lattice')}, "
+             f"{_count(res.stats.emitted, 'algebra')}, "
+             f"{len(res.matches)} matching")
         if args.render:
             matches.extend(res.matches)
         matching += len(res.matches)
         lattices += res.lattices
         stats = stats + res.stats
-    rep.line(f"# total: {_count(lattices, 'lattice')}, "
-             f"{_count(stats.emitted, 'algebra')}, {matching} matching")
-    rep.line(f"# tables examined {stats.examined}, branches pruned "
-             f"{stats.pruned}, duplicates dropped {stats.iso_rejected}")
-    rep.set("max_size", args.max_size)
-    rep.set("predicate", args.predicate)
-    rep.set("per_size", per_size)
-    rep.set("totals", {"lattices": lattices, "algebras": stats.emitted,
-                       "matching": matching})
-    rep.set("stats", {"examined": stats.examined, "pruned": stats.pruned,
+    line(f"# total: {_count(lattices, 'lattice')}, "
+         f"{_count(stats.emitted, 'algebra')}, {matching} matching")
+    line(f"# tables examined {stats.examined}, branches pruned "
+         f"{stats.pruned}, duplicates dropped {stats.iso_rejected}")
+    data = {"command": "search", "max_size": args.max_size,
+            "predicate": args.predicate, "per_size": per_size,
+            "totals": {"lattices": lattices, "algebras": stats.emitted,
+                       "matching": matching},
+            "stats": {"examined": stats.examined, "pruned": stats.pruned,
                       "found": stats.found, "emitted": stats.emitted,
-                      "iso_rejected": stats.iso_rejected})
+                      "iso_rejected": stats.iso_rejected}}
     if args.render and matches:
         docs = [NamedAlgebra(f"match-{i}", alg)
                 for i, alg in enumerate(matches, start=1)]
-        rendered = render_stream(docs)
-        rep.line()
-        rep.lines(rendered.rstrip("\n").split("\n"))
-        rep.set("documents", [
-            {"label": d.label, "size": d.algebra.n} for d in docs])
-        rep.set("rendered", rendered)
-    sys.stdout.write(rep.emit(args.format))
+        data["documents"] = [
+            {"label": d.label, "size": d.algebra.n} for d in docs]
+        data["rendered"] = render_stream(docs)
+    if args.format == "json":
+        sys.stdout.write(_dumps(data, "") + "\n")
+        return EXIT_OK
+    sys.stdout.write("\n".join(lines) + "\n")
+    if "rendered" in data:
+        sys.stdout.write("\n" + data["rendered"])
     return EXIT_OK
 
 

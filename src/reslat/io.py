@@ -16,7 +16,8 @@ by row:
 
 Blank lines are free.  A stream holds several documents separated by
 lines containing only ``---``; a stream of comments alone, as a search
-that matched nothing renders, holds none.  Parsing is strict: every
+that matched nothing renders, holds none.  A stream is split and
+parsed a document at a time, as it is read.  Parsing is strict: every
 problem is reported with its line number, and unknown names are gathered
 exhaustively rather than stopping at the first.  Rendering produces one
 canonical form, and parsing a rendered document returns the identical
@@ -53,12 +54,10 @@ def _strip(line: str) -> str:
     return line.split("#", 1)[0].strip()
 
 
-def _parse_one(lines, offset: int):
-    """Parse one document given as (absolute line number, text) pairs.
-
-    Returns (label, names, index tables, bottom, top) without running
-    the algebra validator.
-    """
+def check_document(lines, offset: int) -> DocumentCheck:
+    """Parse and validate one document of ``split_stream``, given as
+    (absolute line number, text) pairs.  Malformed text raises
+    ParseError; law violations are collected in the verdict."""
     fields: dict[str, tuple[str, int]] = {}
     tables: dict[str, list[tuple[list[str], int]]] = {}
     names: list[str] | None = None
@@ -66,8 +65,6 @@ def _parse_one(lines, offset: int):
     current_table: str | None = None
 
     for lineno, text in lines:
-        if not text:
-            continue
         head, sep, rest = text.partition(":")
         key = head.strip().lower() if sep else None
         if sep and key in SECTION_NAMES:
@@ -161,27 +158,49 @@ def _parse_one(lines, offset: int):
             + listing)
 
     label = fields["label"][0] if "label" in fields else None
-    return (label, tuple(names), index_tables, bottom, top)
+    try:
+        alg = validate(tuple(names), index_tables["join"], index_tables["meet"],
+                       index_tables["prod"], index_tables["impl"], bottom, top)
+    except InvalidAlgebraError as exc:
+        return DocumentCheck(label, None, exc.violations)
+    return DocumentCheck(label, alg, ())
 
 
-def _split(text: str):
-    docs: list[list[tuple[int, str]]] = [[]]
-    starts = [1]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def _lines(text: str) -> Iterator[str]:
+    """``text.splitlines()``, a piece of about 64 KB at a time; a piece
+    ends after a line feed, which ends a line whatever ends the others."""
+    pos = 0
+    while pos < len(text):
+        end = text.find("\n", pos + 65536) + 1 or len(text)
+        yield from text[pos:end].splitlines()
+        pos = end
+
+
+def split_stream(text: str) -> Iterator[tuple[list[tuple[int, str]], int]]:
+    """Each document as (its (line number, text without comment) pairs
+    with text, its first line number), split off when the separator after
+    it or the end of the text is reached.  A last separator ends nothing;
+    an empty document is passed on to be rejected, but an empty first one
+    only once another follows, since alone it is an empty stream."""
+    doc: list[tuple[int, str]] = []
+    start, separators, held = 1, 0, []
+    for lineno, raw in enumerate(_lines(text), start=1):
         stripped = _strip(raw)
-        if stripped == "---":
-            docs.append([])
-            starts.append(lineno + 1)
+        if stripped != "---":
+            if stripped:
+                doc.append((lineno, stripped))
             continue
-        docs[-1].append((lineno, stripped))
-    if len(docs) == 1 and not any(t for _, t in docs[0]) and text.strip():
-        return []
-    if len(docs) > 1 and not any(t for _, t in docs[-1]):
-        docs.pop()
-        starts.pop()
-    if len(docs) == 1 and not any(t for _, t in docs[0]):
+        if separators or doc:
+            yield from held
+            yield doc, start
+        held = [] if separators or doc else [([], 1)]
+        separators += 1
+        doc, start = [], lineno + 1
+    if doc:
+        yield from held
+        yield doc, start
+    elif held or not (separators or text.strip()):
         raise ParseError("line 1: empty stream")
-    return list(zip(docs, starts))
 
 
 class DocumentCheck(Record):
@@ -198,36 +217,21 @@ class DocumentCheck(Record):
 
 
 def check_stream(text: str) -> Iterator[DocumentCheck]:
-    """Validate every document, in order, each parsed when reached,
-    collecting violations instead of raising.
-
-    Malformed text (unparseable, unknown names) still raises ParseError
-    when it is reached; only algebraic law failures are downgraded to a
-    verdict.
-    """
-    for doc, start in _split(text):
-        label, names, tables, bottom, top = _parse_one(doc, start)
-        try:
-            alg = validate(names, tables["join"], tables["meet"],
-                           tables["prod"], tables["impl"], bottom, top)
-        except InvalidAlgebraError as exc:
-            yield DocumentCheck(label, None, exc.violations)
-        else:
-            yield DocumentCheck(label, alg, ())
-
-
-def iter_stream(text: str) -> Iterator[NamedAlgebra]:
-    """Every document in the text, in order, each parsed when reached;
-    the first invalid one raises InvalidAlgebraError."""
-    for check in check_stream(text):
-        if not check.valid:
-            raise InvalidAlgebraError(check.violations)
-        yield NamedAlgebra(check.label, check.algebra)
+    """Validate every document, in order, each split off and parsed when
+    reached, as ``check_document`` does."""
+    for lines, start in split_stream(text):
+        yield check_document(lines, start)
 
 
 def parse_stream(text: str) -> tuple[NamedAlgebra, ...]:
-    """Every document in the text, in order."""
-    return tuple(iter_stream(text))
+    """Every document in the text, in order; the first invalid one
+    raises InvalidAlgebraError."""
+    docs = []
+    for check in check_stream(text):
+        if not check.valid:
+            raise InvalidAlgebraError(check.violations)
+        docs.append(NamedAlgebra(check.label, check.algebra))
+    return tuple(docs)
 
 
 def render_algebra(alg: ResiduatedLattice, label: str | None = None) -> str:

@@ -1,14 +1,14 @@
 """One result, two renderings.
 
-Commands build a report once and emit it either as human text or as a
-machine document.  Both forms are fully deterministic: the text is
-exactly the lines added, the machine form is the data dictionary with
-sorted keys, so identical inputs render identical bytes.  The machine
-form is written directly, with the same bytes as
+A report is human text or a machine document, both deterministic: the
+text is exactly the lines built, the machine form the data dictionary
+with sorted keys, so identical inputs render identical bytes.  The
+machine form is written directly, with the bytes of
 ``json.dumps(data, sort_keys=True, indent=2)``, in about half the time
 and memory of that encoder, which is pure Python when it indents.  A
 command that writes part of its data itself stores that part as
-``Encoded`` text.
+``Encoded`` text.  ``write_report`` writes each document's block when
+it is built, so the report of a stream is never held whole.
 """
 
 from __future__ import annotations
@@ -56,30 +56,34 @@ def _dumps(value, pad: str) -> str:
     raise TypeError(f"cannot write {type(value).__name__} as report JSON")
 
 
-class ReportBuilder:
-    """Collects display lines and a data tree side by side."""
+# The indent of an item of the streamed list, inside the report's dict.
+ITEM_PAD = " " * 4
 
-    def __init__(self, command: str):
-        self._lines: list[str] = []
-        self._data: dict = {"command": command}
 
-    def line(self, text: str = "") -> None:
-        self._lines.append(text)
+def write_report(out, fmt: str, data: dict, key: str, blocks, gap: str) -> None:
+    """Write to out the report of data holding, under key, the item of
+    each (text lines, data item) block, each as blocks yields it.
 
-    def lines(self, seq) -> None:
-        for text in seq:
-            self._lines.append(text)
+    Text is the blocks' lines, with gap before each block but the first.
+    JSON is ``_dumps`` of that data: the entries that sort before key
+    are written with the first item, the rest after the last, so blocks
+    may fill them in.  Nothing is written before the first block, and if
+    blocks raises, out holds the blocks before.
+    """
+    if fmt != "json":
+        for i, (lines, _) in enumerate(blocks):
+            out.write("".join([gap if i else "", *(f"{line}\n" for line in lines)]))
+        return
 
-    def set(self, key: str, value) -> None:
-        self._data[key] = value
+    def entries(keep):
+        return [f"{encode_basestring_ascii(k)}: {_dumps(data[k], '  ')}"
+                for k in sorted(data) if keep(k)]
 
-    def text(self) -> str:
-        return "\n".join(self._lines) + "\n" if self._lines else ""
-
-    def json(self) -> str:
-        return _dumps(self._data, "") + "\n"
-
-    def emit(self, fmt: str) -> str:
-        if fmt == "json":
-            return self.json()
-        return self.text()
+    opening = "{\n  " + ",\n  ".join(
+        [*entries(lambda k: k < key), encode_basestring_ascii(key) + ": ["])
+    sep = opening
+    for _, item in blocks:
+        out.write(f"{sep}\n{ITEM_PAD}{_dumps(item, ITEM_PAD)}")
+        sep = ","
+    out.write("".join(["\n  ]" if sep == "," else opening + "]",
+                       *(f",\n  {e}" for e in entries(lambda k: k > key)), "\n}\n"]))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import tables as tb
-from conftest import build
+from conftest import build, corrupted
 import reslat.cli
 from reslat.cli import main
 from reslat.algebra import validate
@@ -478,6 +478,74 @@ def test_each_algebra_is_freed_before_the_next_is_analysed(capsys, monkeypatch):
     code, _ = run(capsys, "classify", "a7", "chain2", "chain3", "bool4")
     assert code == 0
     assert alive == [0, 0, 0, 0]
+
+
+# Two documents, y and x, and a third that fails: as malformed text (a
+# parse error, exit 64) or as tables that break the laws (exit 1).
+Y_X = render_stream([NamedAlgebra("y", build(tb.BOOL4)),
+                     NamedAlgebra("x", build(tb.CHAIN3))])
+THIRD = {64: "label: bad\nelements: 0 1\n",
+         1: render_algebra(corrupted(build(tb.CHAIN3), "prod", ((1, 1, 2),)), "bad")}
+
+
+@pytest.mark.parametrize("command", ["info", "verify"])
+@pytest.mark.parametrize("code", [64, 1])
+def test_a_failing_document_leaves_the_blocks_before_it(capsys, tmp_path,
+                                                         command, code):
+    """stdout holds the report of the documents before the one that
+    fails: in text byte for byte, in JSON a prefix that ends with the
+    last of their items."""
+    (tmp_path / "yx.alg").write_text(Y_X)
+    (tmp_path / "yxbad.alg").write_text(Y_X + "---\n" + THIRD[code])
+    for fmt in ("text", "json"):
+        want = run(capsys, command, str(tmp_path / "yx.alg"), "--format", fmt)
+        got = run(capsys, command, str(tmp_path / "yxbad.alg"), "--format", fmt)
+        assert want[0] == 0 and got[0] == code
+        if fmt == "text":
+            assert got[1] == want[1]
+        else:
+            assert want[1] == got[1] + f'\n  ],\n  "command": "{command}"\n}}\n'
+
+
+def test_each_block_is_written_before_the_next_document_is_parsed(
+        monkeypatch, tmp_path):
+    import io as stdlib_io
+    path = tmp_path / "yx.alg"
+    path.write_text(Y_X)
+    out = stdlib_io.StringIO()
+    monkeypatch.setattr("sys.stdout", out)
+    events, algebras = [], []
+    real_parse, real_build = reslat.cli.check_document, reslat.cli._build_info
+
+    def parse(lines, offset):
+        events.append(("parse", out.getvalue(),
+                       [ref() is None for ref in algebras]))
+        return real_parse(lines, offset)
+
+    def build(args, line, item, label, alg):
+        events.append(("build", out.getvalue(), []))
+        algebras.append(weakref.ref(alg))
+        return real_build(args, line, item, label, alg)
+
+    monkeypatch.setattr(reslat.cli, "check_document", parse)
+    monkeypatch.setattr(reslat.cli, "_build_info", build)
+    assert main(["info", str(path)]) == 0
+    y_block = out.getvalue().split("\n\n")[0] + "\n"
+    assert events == [("parse", "", []), ("build", "", []),
+                      ("parse", y_block, [True]), ("build", y_block, [])]
+
+
+@pytest.mark.parametrize("missing", ["missing.alg", "directory"])
+def test_every_input_is_read_before_the_first_is_analysed(
+        capsys, monkeypatch, tmp_path, missing):
+    (tmp_path / "directory").mkdir()
+    built = []
+    monkeypatch.setattr(reslat.cli, "_build_verify",
+                        lambda *args: built.append(args))
+    code = main(["verify", "a7", str(tmp_path / missing)])
+    out, err = capsys.readouterr()
+    assert (code, out, built) == (64, "", [])
+    assert err.startswith("usage error: ")
 
 
 def test_argument_errors_outrank_unreadable_documents(capsys, tmp_path):
