@@ -494,10 +494,12 @@ def test_a_failing_document_leaves_the_blocks_before_it(capsys, tmp_path,
                                                          command, code):
     """stdout holds the report of the documents before the one that
     fails: in text byte for byte, in JSON a prefix that ends with the
-    last of their items."""
+    last of their items, and nothing when the first one fails."""
     (tmp_path / "yx.alg").write_text(Y_X)
     (tmp_path / "yxbad.alg").write_text(Y_X + "---\n" + THIRD[code])
+    (tmp_path / "bad.alg").write_text(THIRD[code] + "---\n" + Y_X)
     for fmt in ("text", "json"):
+        assert run(capsys, command, str(tmp_path / "bad.alg"), "--format", fmt) == (code, "")
         want = run(capsys, command, str(tmp_path / "yx.alg"), "--format", fmt)
         got = run(capsys, command, str(tmp_path / "yxbad.alg"), "--format", fmt)
         assert want[0] == 0 and got[0] == code

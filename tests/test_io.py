@@ -176,6 +176,20 @@ def test_other_line_ends_keep_line_numbers(end):
         parse_stream(f"---{end}{end}")
 
 
+def test_streams_longer_than_a_read_piece_keep_line_numbers():
+    """The splitter reads 64 KB at a time; over 1,200 documents (about
+    130 KB) with CRLF, CR and LF line ends in turn, every document is
+    read and an error in the last one names its line."""
+    ends = ["\r\n", "\r", "\n"]
+    lines = "---\n".join([GOOD] * 1200).splitlines()
+    text = "".join(line + ends[i % 3] for i, line in enumerate(lines))
+    assert len(text) > 65536
+    assert len(parse_stream(text)) == 1200
+    bad = text[:text.rindex("meet:")] + "meet:\n0 0 0\n0 1\nprod:\n0 0\n0 1\nimpl:\n1 1\n0 1\n"
+    with pytest.raises(ParseError, match=rf"^line {17 * 1199 + 9}: row has 3 entries"):
+        parse_stream(bad)
+
+
 def test_parse_document_rejects_streams():
     with pytest.raises(ParseError, match="expected one document, found 2"):
         parse_document(GOOD + "---\n" + GOOD)
