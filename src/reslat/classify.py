@@ -2,20 +2,22 @@
 
 Six maps tie the element lattice, the filter lattice, the coannulet
 lattice, and the point-set lattices over the minimal primes together.
-Each map is materialized with the kind it is observed to have (order
-preserving or order reversing homomorphism), and three of them with
-their kernel partitions.  Each class verdict at the bottom is a
-function of its own name that decides it by one route, the cheapest.
-``classification`` evaluates every route of every verdict and reports
-them side by side without comparing them: comparing the routes is the
-statement suite's job, and it reports a disagreement as a failure with
-its witness.
+``structure_maps`` declares each in one row and reports it with its
+image of every domain node and the kind it is observed to have (order
+preserving or order reversing homomorphism, by
+``views.is_homomorphism``), and three of them get their kernel
+partitions.  Each class verdict at the bottom is a function of its own
+name that decides it by one route, the cheapest, and ``VERDICTS`` lists
+them once.  ``classification`` evaluates every route of every verdict
+and reports them side by side without comparing them: comparing the
+routes is the statement suite's job, and it reports a disagreement as a
+failure with its witness.
 
 Classification reads its three injectivity routes off the image lists
 themselves (the coannulet of each element, the cohull of each filter,
 the coannulet of each filter's generator), so it never builds a map
-report; ``structure_maps`` serves the reports that print the maps with
-their kinds.
+report; ``structure_maps`` serves the reports that print the maps and
+the statements that read their images.
 """
 
 from __future__ import annotations
@@ -46,6 +48,7 @@ from .views import (
     LatticeView,
     build_view,
     is_boolean,
+    is_homomorphism,
     kernel_partition,
     quotient_view,
     view_from_tables,
@@ -56,13 +59,14 @@ DUAL_HOM = "dual lattice homomorphism"
 
 
 class MapReport(Record):
-    """One structure map: what it preserves and how it sorts."""
+    """One structure map: what it preserves, how it sorts, and the
+    codomain key of each domain node."""
 
     name: str
     kind: str
     injective: bool
     surjective: bool
-    pairs: tuple[tuple[object, object], ...]
+    images: tuple[object, ...]
 
     @property
     def bijective(self) -> bool:
@@ -103,21 +107,13 @@ def _map_report(name, domain, codomain, dual, images) -> MapReport:
     """Package a node-indexed image list with the kind it is observed to
     have: a lattice homomorphism, or with dual set one that turns joins
     into meets and meets into joins."""
-    n = domain.n
     pos = [codomain.index(img) for img in images]
-    jt, mt = (codomain.meet, codomain.join) if dual else (codomain.join, codomain.meet)
     kind = DUAL_HOM if dual else HOM
-    if not all(pos[domain.join[i][j]] == jt[pos[i]][pos[j]]
-               and pos[domain.meet[i][j]] == mt[pos[i]][pos[j]]
-               for i in range(n) for j in range(n)):
+    if not is_homomorphism(domain, codomain, pos, dual):
         kind = f"not a {kind}"
-    return MapReport(
-        name=name,
-        kind=kind,
-        injective=len(set(pos)) == n,
-        surjective=set(pos) == set(range(codomain.n)),
-        pairs=tuple((domain.keys[i], codomain.keys[pos[i]]) for i in range(n)),
-    )
+    hit = len(set(pos))
+    return MapReport(name=name, kind=kind, injective=hit == domain.n,
+                     surjective=hit == codomain.n, images=tuple(images))
 
 
 @derived
@@ -129,29 +125,20 @@ def structure_maps(alg: ResiduatedLattice) -> dict[str, MapReport]:
     hl = hull_lattice(alg)
     dl = cohull_lattice(alg)
 
-    to_principal = [principal_filter(alg, x) for x in range(alg.n)]
     to_perp = alg.coannulets
-    to_cohull = [cohull(alg, f) for f in fl.keys]
-    to_gen_perp = [to_perp[principal_generator(alg, f)] for f in fl.keys]
     space = full_set(len(minimal_primes(alg)))
-    complement = [space & ~d for d in dl.keys]
     hull_of_perp = {to_perp[x]: hull(alg, singleton(x)) for x in range(alg.n)}
-    to_hull = [hull_of_perp[p] for p in gam.keys]
-
-    return {
-        "element to principal filter":
-            _map_report("element to principal filter", el, fl, True, to_principal),
-        "element to coannulet":
-            _map_report("element to coannulet", el, gam, False, to_perp),
-        "filter to cohull":
-            _map_report("filter to cohull", fl, dl, False, to_cohull),
-        "filter to generator coannulet":
-            _map_report("filter to generator coannulet", fl, gam, True, to_gen_perp),
-        "cohull to hull":
-            _map_report("cohull to hull", dl, hl, True, complement),
-        "coannulet to hull":
-            _map_report("coannulet to hull", gam, hl, False, to_hull),
-    }
+    rows = (
+        ("element to principal filter", el, fl, True,
+         [principal_filter(alg, x) for x in range(alg.n)]),
+        ("element to coannulet", el, gam, False, to_perp),
+        ("filter to cohull", fl, dl, False, [cohull(alg, f) for f in fl.keys]),
+        ("filter to generator coannulet", fl, gam, True,
+         [to_perp[principal_generator(alg, f)] for f in fl.keys]),
+        ("cohull to hull", dl, hl, True, [space & ~d for d in dl.keys]),
+        ("coannulet to hull", gam, hl, False, [hull_of_perp[p] for p in gam.keys]),
+    )
+    return {row[0]: _map_report(*row) for row in rows}
 
 
 # -- kernel partitions -----------------------------------------------------
@@ -336,11 +323,5 @@ def classification(alg: ResiduatedLattice) -> ClassificationResult:
          quasicomplemented(alg) and weakly_disjunctive(alg)),
     )
 
-    return ClassificationResult(
-        quasicomplemented=quasicomplemented(alg),
-        disjunctive=disjunctive(alg),
-        weakly_disjunctive=weakly_disjunctive(alg),
-        lattice_boolean=lattice_boolean(alg),
-        filter_lattice_boolean=filter_lattice_boolean(alg),
-        routes=routes,
-    )
+    return ClassificationResult(**{k: v(alg) for k, v in VERDICTS.items()},
+                                routes=routes)

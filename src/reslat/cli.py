@@ -31,9 +31,8 @@ from .coann import (all_ideals, coannihilator_family, coannihilator_lattice,
                     coannulet, coannulet_family, omega_family)
 from .errors import InternalCheckError, PreconditionError
 from .filters import all_filters, principal_generator
-from .io import (BUNDLED, NamedAlgebra, ParseError, bundled_names,
-                 check_document, load_bundled, render_algebra, render_stream,
-                 split_stream)
+from .io import (BUNDLED, NamedAlgebra, ParseError, bundled_text,
+                 check_document, render_stream, split_stream)
 from .report import ITEM_PAD, Encoded, _dumps, write_report
 from .search import MAX_CARRIER, ZERO_STATS, mine
 from .spectrum import (hull_topology, is_compact, is_totally_disconnected,
@@ -86,17 +85,16 @@ def _read_source(token: str) -> tuple[str, str, str]:
         except (OSError, UnicodeDecodeError) as exc:
             raise PreconditionError(f"cannot read {token!r}: {exc}") from exc
     if token in BUNDLED:
-        doc = load_bundled(token)
-        return token, token, render_algebra(doc.algebra, doc.label)
+        return token, token, bundled_text(token)
     raise PreconditionError(
         f"no such file or bundled algebra: {token!r} "
-        f"(bundled names: {', '.join(bundled_names())})")
+        f"(bundled names: {', '.join(BUNDLED)})")
 
 
 def _label_docs(sources):
-    """(token, label if the document names none, verdict) per document
-    of the sources read, each parsed when reached and not kept.  The
-    label is the source's stem, numbered when the source holds more than
+    """(token, label, verdict) per document of the sources read, each
+    parsed when reached and not kept.  The label is the document's own,
+    or else the source's stem, numbered when the source holds more than
     one document, as the next document's raw lines tell."""
     for token, stem, text in sources:
         docs = split_stream(text)
@@ -105,8 +103,11 @@ def _label_docs(sources):
         while ahead is not None:
             doc, ahead = ahead, next(docs, None)
             i += 1
-            yield (token, stem if i == 1 and ahead is None else f"{stem}#{i}",
-                   check_document(*doc))
+            fallback = stem if i == 1 and ahead is None else f"{stem}#{i}"
+            # The verdict takes the raw lines' name, which the next round
+            # rebinds before it parses: one algebra is alive at a time.
+            doc = check_document(*doc)
+            yield token, fallback if doc.label is None else doc.label, doc
 
 
 # -- commands --------------------------------------------------------------
@@ -116,7 +117,6 @@ def _cmd_validate(args) -> int:
     data = {"command": "validate", "invalid": 0}
 
     def block(token, label, ck):
-        label = label if ck.label is None else ck.label
         item = {"label": label, "valid": ck.valid}
         if ck.valid:
             item["elements"] = ck.algebra.n
@@ -150,7 +150,6 @@ def _per_doc(command, args, build) -> int:
     codes = {EXIT_OK}
 
     def block(token, label, ck):
-        label = label if ck.label is None else ck.label
         if not ck.valid:
             raise _DomainError(f"{token}: {InvalidAlgebraError(ck.violations)}")
         lines, item = [], {"label": label}
@@ -346,26 +345,18 @@ def _build_alpha(args, line, item, label, alg):
 
 def _build_classify(args, line, item, label, alg):
     cl = classification(alg)
-    verdicts = (
-        ("quasicomplemented", cl.quasicomplemented),
-        ("disjunctive", cl.disjunctive),
-        ("weakly disjunctive", cl.weakly_disjunctive),
-        ("lattice Boolean", cl.lattice_boolean),
-        ("filter lattice Boolean", cl.filter_lattice_boolean),
-    )
     line(f"{label}:")
-    for name, verdict in verdicts:
-        line(f"  {name}: {_yes(verdict)}")
-        for desc, ok in cl.routes[name]:
+    # The routes are keyed by each verdict's text name, in VERDICTS order.
+    for key, (name, routes) in zip(VERDICTS, cl.routes.items()):
+        item[key] = getattr(cl, key)
+        line(f"  {name}: {_yes(item[key])}")
+        for desc, ok in routes:
             line(f"    - {desc}: {_yes(ok)}")
     maps = structure_maps(alg)
     line("  structure maps:")
-    map_rows = []
     for name, m in maps.items():
         line(f"    {name}: {m.kind}, injective {_yes(m.injective)}, "
              f"surjective {_yes(m.surjective)}")
-        map_rows.append({"name": name, "kind": m.kind,
-                         "injective": m.injective, "surjective": m.surjective})
     named = congruence_classes_named(
         alg, element_kernel_by_coannulet(alg), element_lattice(alg))
     line("  element classes sharing a coannulet: "
@@ -375,14 +366,10 @@ def _build_classify(args, line, item, label, alg):
     line("  filter classes sharing a cohull: "
          + " | ".join("{" + ", ".join(c) + "}" for c in spectral))
     item.update({
-        "quasicomplemented": cl.quasicomplemented,
-        "disjunctive": cl.disjunctive,
-        "weakly_disjunctive": cl.weakly_disjunctive,
-        "lattice_boolean": cl.lattice_boolean,
-        "filter_lattice_boolean": cl.filter_lattice_boolean,
         "routes": {name: [[desc, ok] for desc, ok in routes]
                    for name, routes in cl.routes.items()},
-        "maps": map_rows,
+        "maps": [{"name": name, "kind": m.kind, "injective": m.injective,
+                  "surjective": m.surjective} for name, m in maps.items()],
         "element_classes_by_coannulet": [list(c) for c in named],
         "filter_classes_by_cohull": [list(c) for c in spectral],
     })

@@ -256,12 +256,9 @@ def render_stream(docs) -> str:
     return "---\n".join(parts)
 
 
-def bundled_names() -> tuple[str, ...]:
-    return BUNDLED
-
-
-def load_bundled(name: str) -> NamedAlgebra:
-    """One of the algebras shipped with the package, by name."""
+def bundled_text(name: str) -> str:
+    """The document text of one of the algebras shipped with the
+    package, by name."""
     if name not in BUNDLED:
         raise PreconditionError(
             f"no bundled algebra {name!r}; available: " + ", ".join(BUNDLED))
@@ -269,5 +266,9 @@ def load_bundled(name: str) -> NamedAlgebra:
     # bundled names need it.
     from importlib import resources
 
-    text = (resources.files("reslat") / "fixtures" / f"{name}.alg").read_text()
-    return parse_stream(text)[0]
+    return (resources.files("reslat") / "fixtures" / f"{name}.alg").read_text()
+
+
+def load_bundled(name: str) -> NamedAlgebra:
+    """One of the algebras shipped with the package, by name."""
+    return parse_stream(bundled_text(name))[0]

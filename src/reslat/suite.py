@@ -637,7 +637,7 @@ def _principal_filter_map(alg):
     yield lambda: "order reversing homomorphism onto the filter lattice", \
         m.kind == "dual lattice homomorphism" and m.surjective
     yield lambda: "kernel quotient transports", \
-        kernel_transports(element_lattice(alg), [img for _, img in m.pairs],
+        kernel_transports(element_lattice(alg), m.images,
                           filter_lattice(alg), dual=True)
 
 
@@ -649,7 +649,7 @@ def _coannulet_map(alg):
     yield lambda: "order preserving homomorphism onto the coannulets", \
         m.kind == "lattice homomorphism" and m.surjective
     yield lambda: "kernel quotient transports", \
-        kernel_transports(element_lattice(alg), [img for _, img in m.pairs],
+        kernel_transports(element_lattice(alg), m.images,
                           coannulet_lattice(alg), dual=False)
     for x in range(alg.n):
         f = principal_filter(alg, x)
@@ -701,12 +701,11 @@ def _generator_coannulet_map(alg):
     maps = structure_maps(alg)
     m = maps["filter to generator coannulet"]
     fl = filter_lattice(alg)
-    images = [img for _, img in m.pairs]
     yield lambda: "order reversing homomorphism onto the coannulets", \
         m.kind == "dual lattice homomorphism" and m.surjective
     yield lambda: "kernels by cohull and by generator coannulet coincide", \
-        kernel_partition(fl, images) == filter_kernel_spectral(alg) and \
-        kernel_transports(fl, images, coannulet_lattice(alg), dual=True)
+        kernel_partition(fl, m.images) == filter_kernel_spectral(alg) and \
+        kernel_transports(fl, m.images, coannulet_lattice(alg), dual=True)
 
 
 @law("point-translations", "maps",

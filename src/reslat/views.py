@@ -136,6 +136,18 @@ def view_filters(view: LatticeView) -> tuple[int, ...]:
     return tuple(sorted(ups, key=lambda m: (m.bit_count(), m)))
 
 
+def is_homomorphism(view: LatticeView, target: LatticeView,
+                    pos: Sequence[int], dual: bool) -> bool:
+    """Whether the map sending node i to target node pos[i] carries joins
+    to joins and meets to meets, or with dual set joins to meets and
+    meets to joins."""
+    jt, mt = (target.meet, target.join) if dual else (target.join, target.meet)
+    nodes = range(view.n)
+    return all(pos[view.join[i][j]] == jt[pos[i]][pos[j]]
+               and pos[view.meet[i][j]] == mt[pos[i]][pos[j]]
+               for i in nodes for j in nodes)
+
+
 def is_sublattice(sub: LatticeView, sup: LatticeView) -> bool:
     """Same keys subset, same bounds, agreeing operations."""
     try:
@@ -217,12 +229,8 @@ def kernel_transports(view: LatticeView, images: Sequence[Hashable],
     cong = kernel_partition(view, images)
     if not is_congruence(view, cong):
         return False
-    quot = quotient_view(view, cong)
     img = [images[c[0]] for c in cong.classes]
     if set(img) != set(target.keys) or len(img) != target.n:
         return False
-    pos = [target.index(v) for v in img]
-    jt, mt = (target.meet, target.join) if dual else (target.join, target.meet)
-    return all(pos[quot.join[a][b]] == jt[pos[a]][pos[b]]
-               and pos[quot.meet[a][b]] == mt[pos[a]][pos[b]]
-               for a in range(quot.n) for b in range(quot.n))
+    return is_homomorphism(quotient_view(view, cong), target,
+                           [target.index(v) for v in img], dual)

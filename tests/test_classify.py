@@ -38,6 +38,14 @@ def test_a7_classification_verdicts(a7):
     assert not res.filter_lattice_boolean
 
 
+def test_routes_come_in_verdict_order(a7):
+    """``classify``'s report pairs each route group with the verdict of
+    ``VERDICTS`` in the same place."""
+    assert list(classification(a7).routes) == [
+        "quasicomplemented", "disjunctive", "weakly disjunctive",
+        "lattice Boolean", "filter lattice Boolean"]
+
+
 EXPECTED_VERDICTS = {
     "a7": (True, False, False, False, False),
     "chain2": (True, True, True, True, True),
@@ -145,7 +153,7 @@ def test_a7_coannulet_map_pairs(a7):
     trivial = mask_of(a7, "1")
     expected = (trivial, trivial, mask_of(a7, "e", "1"), trivial,
                 mask_of(a7, "e", "1"), mask_of(a7, "b", "d", "1"), a7.universe)
-    assert rep.pairs == tuple(zip(range(a7.n), expected))
+    assert rep.images == expected
 
 
 def test_a7_element_kernels(a7):

@@ -12,6 +12,7 @@ import pytest
 import tables as tb
 from conftest import build, corrupted
 import reslat.cli
+import reslat.io
 from reslat.cli import main
 from reslat.algebra import validate
 from reslat.classify import ClassificationResult
@@ -29,6 +30,22 @@ def test_validate_bundled(capsys):
     code, out = run(capsys, "validate", "a7", "chain2")
     assert code == 0
     assert out == "a7: valid (7 elements)\nchain2: valid (2 elements)\n"
+
+
+def test_bundled_inputs_are_parsed_once(capsys, monkeypatch):
+    """A bundled name hands the fixture's own text to the stream, so
+    each of its documents is validated once."""
+    calls = []
+    real = reslat.io.validate
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(reslat.io, "validate", counting)
+    code, _ = run(capsys, "info", "a7", "bool4")
+    assert code == 0
+    assert len(calls) == 2
 
 
 def test_validate_reports_violations(capsys, tmp_path):

@@ -9,7 +9,7 @@ from reslat.io import (
     BUNDLED,
     NamedAlgebra,
     ParseError,
-    bundled_names,
+    bundled_text,
     check_stream,
     load_bundled,
     parse_stream,
@@ -317,9 +317,10 @@ def test_check_stream_still_rejects_malformed_text(a7):
 
 
 def test_bundled_names_and_loading():
-    assert bundled_names() == BUNDLED == ("a7", "bool4", "chain2", "chain3")
-    for name in bundled_names():
+    assert BUNDLED == ("a7", "bool4", "chain2", "chain3")
+    for name in BUNDLED:
         assert load_bundled(name).label == name
+        assert parse_stream(bundled_text(name)) == (load_bundled(name),)
     assert load_bundled("a7").algebra == build(tb.A7)
     assert load_bundled("chain2").algebra == build(tb.CHAIN2)
     assert load_bundled("chain3").algebra == build(tb.CHAIN3)

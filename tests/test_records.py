@@ -28,7 +28,7 @@ FIELDS = {
     AxiomViolation: ("law", "witness", "detail"),
     ResiduatedLattice: ("names", "join", "meet", "prod", "impl", "bottom",
                         "top", "up", "down"),
-    MapReport: ("name", "kind", "injective", "surjective", "pairs"),
+    MapReport: ("name", "kind", "injective", "surjective", "images"),
     ClassificationResult: ("quasicomplemented", "disjunctive",
                            "weakly_disjunctive", "lattice_boolean",
                            "filter_lattice_boolean", "routes"),

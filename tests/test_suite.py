@@ -6,8 +6,10 @@ import bruteforce as bf
 import tables as tb
 from conftest import build, catalog5, corrupted, mask_of
 from reslat import PreconditionError, suite
+from reslat.classify import MapReport
 from reslat.subsets import singleton
 from reslat.suite import registry_groups, registry_idents, verify_suite
+from reslat.views import Congruence
 
 
 @pytest.mark.parametrize("key", sorted(tb.ALL_TABLES))
@@ -88,6 +90,23 @@ def test_reports_deterministic(a7):
     assert verify_suite(a7) == verify_suite(a7)
 
 
+def spoilt_map(name, field, change):
+    """A spoiler of ``structure_maps``: the report of the map name with
+    its field replaced by change of its value."""
+    def spoil(alg, maps):
+        m = maps[name]
+        values = {f: getattr(m, f) for f in MapReport._fields}
+        values[field] = change(values[field])
+        return {**maps, name: MapReport(**values)}
+    return spoil
+
+
+def merged(alg, cong):
+    """The partition with its last two classes merged into one."""
+    *rest, x, y = cong.classes
+    return Congruence((*rest, x + y))
+
+
 @pytest.mark.parametrize("ident, name, at, spoil, witness", [
     ("filters-closure-system", "generated_filter",
      lambda a: (mask_of(a, "b"),), lambda a, f: f & ~singleton(a.top),
@@ -114,6 +133,23 @@ def test_reports_deterministic(a7):
      lambda a: (mask_of(a, "1"), a.names.index("d")),
      lambda a, f: mask_of(a, "b", "d", "1"),
      "fails at separation of {1} from {0, a, b, c, d} lands on a prime"),
+    ("principal-filter-map", "structure_maps", lambda a: (),
+     spoilt_map("element to principal filter", "images",
+                lambda im: (im[1], im[0], *im[2:])),
+     "fails at kernel quotient transports"),
+    ("coannulet-map", "coannulet",
+     lambda a: (a.names.index("b"),), lambda a, f: f ^ singleton(a.bottom),
+     "fails at factors through the filter of d"),
+    ("kernel-classes-at-bounds", "element_kernel_by_coannulet",
+     lambda a: (), merged, "fails at class of 1 is alone"),
+    ("filter-to-cohull-map", "cohull",
+     lambda a: (mask_of(a, "b", "d", "1"),), lambda a, h: h ^ 1,
+     "fails at join goes to union at ({e, 1}, {b, d, 1})"),
+    ("generator-coannulet-map", "filter_kernel_spectral", lambda a: (), merged,
+     "fails at kernels by cohull and by generator coannulet coincide"),
+    ("point-translations", "structure_maps", lambda a: (),
+     spoilt_map("cohull to hull", "injective", lambda v: False),
+     "fails at cohull to hull translation is a bijection"),
 ])
 def test_failing_law_describes_the_failing_instance(a7, monkeypatch, ident, name,
                                                      at, spoil, witness):
@@ -164,6 +200,23 @@ def test_frames_state_distributivity(a7, monkeypatch, ident, witness):
     """Both frame statements ask the suite's own distributivity check of
     their lattice view, and name that instance when it fails."""
     monkeypatch.setattr(suite, "is_distributive", lambda view: False)
+    (report,) = verify_suite(a7, idents=(ident,))
+    assert (report.passed, report.sides) == (False, (("holds", False),))
+    assert report.witness == witness
+
+
+@pytest.mark.parametrize("ident, witness", [
+    ("principal-filter-map", "fails at kernel quotient transports"),
+    ("coannulet-map", "fails at kernel quotient transports"),
+    ("generator-coannulet-map",
+     "fails at kernels by cohull and by generator coannulet coincide"),
+])
+def test_map_kernels_state_transport(a7, monkeypatch, ident, witness):
+    """The three statements that pass a map's kernel to the suite's own
+    first isomorphism check, by keyword, name that instance when it
+    fails."""
+    monkeypatch.setattr(suite, "kernel_transports",
+                        lambda view, images, target, dual: False)
     (report,) = verify_suite(a7, idents=(ident,))
     assert (report.passed, report.sides) == (False, (("holds", False),))
     assert report.witness == witness
