@@ -5,7 +5,7 @@ lattice, and the point-set lattices over the minimal primes together.
 ``structure_maps`` declares each in one row and reports it with its
 image of every domain node and the kind it is observed to have (order
 preserving or order reversing homomorphism, by
-``views.is_homomorphism``), and three of them get their kernel
+``views.is_homomorphism``), and two of them get their kernel
 partitions.  Each class verdict at the bottom is a function of its own
 name that decides it by one route, the cheapest, and ``VERDICTS`` lists
 them once.  ``classification`` evaluates every route of every verdict
