@@ -150,6 +150,36 @@ def merged(alg, cong):
     ("point-translations", "structure_maps", lambda a: (),
      spoilt_map("cohull to hull", "injective", lambda v: False),
      "fails at cohull to hull translation is a bijection"),
+    ("prime-pair-laws", "is_prime",
+     lambda a: (mask_of(a, "e", "1"),), lambda a, v: not v,
+     "fails at declared verdict at {e, 1}"),
+    ("maximal-implies-prime", "is_prime",
+     lambda a: (mask_of(a, "a", "b", "c", "d", "e", "1"),), lambda a, v: not v,
+     "fails at {a, b, c, d, e, 1} prime"),
+    ("primes-reach-bottom", "minimal_primes", lambda a: (),
+     lambda a, mins: mins[:-1],
+     "fails at {b, d, 1} contains a minimal prime"),
+    ("minimal-prime-complement-law", "is_minimal_prime",
+     lambda a: (mask_of(a, "a", "b", "c", "d", "e", "1"),), lambda a, v: not v,
+     "fails at complement route at {a, b, c, d, e, 1}"),
+    ("prime-core-properties", "prime_core",
+     lambda a: (mask_of(a, "e", "1"),), lambda a, f: f ^ singleton(a.top),
+     "fails at core of {e, 1} via its complement ideal"),
+    ("coannulet-via-minimal-primes", "coannulet",
+     lambda a: (a.names.index("b"),), lambda a, f: f ^ singleton(a.bottom),
+     "fails at coannulet of b from the points"),
+    ("coannihilator-pseudocomplement", "pseudocomplement_check",
+     lambda a: (mask_of(a, "e", "1"),), lambda a, v: False,
+     "fails at perp of {e, 1} is its pseudocomplement"),
+    ("proper-coannihilators-avoid-dense", "proper_omega_no_dense_check",
+     lambda a: (), lambda a, v: False,
+     "fails at proper omega filters avoid dense elements"),
+    ("nilpotents-and-center", "is_lattice_ideal",
+     lambda a: (mask_of(a, "0"),), lambda a, v: False,
+     "fails at nilpotents form an ideal"),
+    ("dense-element-characterizations", "is_lattice_ideal",
+     lambda a: (mask_of(a, "0", "a", "c"),), lambda a, v: False,
+     "fails at dense elements form an ideal"),
 ])
 def test_failing_law_describes_the_failing_instance(a7, monkeypatch, ident, name,
                                                      at, spoil, witness):
