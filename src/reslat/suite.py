@@ -13,12 +13,15 @@ verdict, each with the statement's ident, group and text.  The
 decorators fill ``REGISTRY`` in definition order, which is the order
 ``verify`` reports in.
 
-A law's generator yields each instance as (describe, ok), or an int k
-standing for k instances checked at once that all hold; ``_law`` adds
-k to the instance count in one step.  The three laws of the arithmetic
-section are checked a row at a time: for one x, every y (and z) at
-once, with the tables as byte rows (``algebra.byte_rows``).  A row
-check holds exactly when every instance at x holds, and then yields
+A law's generator yields each instance as ``ok or f"<description>"``:
+True when it holds, and otherwise its text, built only then, while the
+loop variables it names are current.  An int k stands for k instances
+checked at once that all hold.  ``_law`` stops at the first text and
+adds every other item to the instance count.
+
+The three laws of the arithmetic section are checked a row at a time:
+for one x, every y (and z) at once, with the tables as byte rows
+(``algebra.byte_rows``).  A row check holds exactly when every instance at x holds, and then yields
 their count.  Only an x whose row check fails is walked instance by
 instance, in the order of the full walk, so the instance count and the
 first failing instance are those of walking every instance.
@@ -120,22 +123,16 @@ class TheoremReport(Record):
 
 
 def _law(checks) -> tuple[tuple[tuple[str, bool], ...], bool, str]:
-    """Universal statement: every described instance must hold.
+    """Universal statement: every instance must hold.
 
-    Each instance comes as (describe, ok), describe a function returning
-    its text, or as an int k for k instances checked at once that all
-    hold.  Only a failing instance is described, and before the
-    generator advances, while the loop variables it reads are current.
+    A str is the text of the first failing instance; any other item, True
+    or an int k for k instances that hold, is added to the count.
     """
     count = 0
     for check in checks:
-        if type(check) is int:
-            count += check
-            continue
-        describe, ok = check
-        count += 1
-        if not ok:
-            return ((("holds", False),), False, f"fails at {describe()}")
+        if type(check) is str:
+            return ((("holds", False),), False, f"fails at {check}")
+        count += check
     return ((("holds", True),), True, f"checked {count} instances")
 
 
@@ -167,7 +164,8 @@ def statement(ident: str, group: str, text: str):
 
 
 def law(ident: str, group: str, text: str):
-    """Register a generator of instances, judged by _law."""
+    """Register a generator yielding ``ok or f"<description>"`` per
+    instance (or an int count of instances that hold), judged by _law."""
     def register(instances):
         @wraps(instances)
         def check(alg):
@@ -214,24 +212,23 @@ def _residuation_basics(alg):
 
 def _residuation_at(alg, x):
     rng = range(alg.n)
-    yield lambda: f"1 -> {alg.names[x]}", alg.impl[alg.top][x] == x
-    yield lambda: f"{alg.names[x]} -> 1", alg.impl[x][alg.top] == alg.top
+    yield alg.impl[alg.top][x] == x or f"1 -> {alg.names[x]}"
+    yield alg.impl[x][alg.top] == alg.top or f"{alg.names[x]} -> 1"
     for y in rng:
-        yield (lambda: f"{alg.names[x]} * ({alg.names[x]} -> {alg.names[y]})",
-               alg.leq(alg.prod[x][alg.impl[x][y]], y))
-        yield (lambda: f"order vs implication at ({alg.names[x]}, "
-                       f"{alg.names[y]})",
-               alg.leq(x, y) == (alg.impl[x][y] == alg.top))
-        yield (lambda: f"{alg.names[y]} below {alg.names[x]} -> {alg.names[y]}",
-               alg.leq(y, alg.impl[x][y]))
+        yield (alg.leq(alg.prod[x][alg.impl[x][y]], y)
+               or f"{alg.names[x]} * ({alg.names[x]} -> {alg.names[y]})")
+        yield (alg.leq(x, y) == (alg.impl[x][y] == alg.top)
+               or f"order vs implication at ({alg.names[x]}, {alg.names[y]})")
+        yield (alg.leq(y, alg.impl[x][y])
+               or f"{alg.names[y]} below {alg.names[x]} -> {alg.names[y]}")
         for z in rng:
-            yield (lambda: f"currying at ({alg.names[x]}, {alg.names[y]}, "
-                           f"{alg.names[z]})",
-                   alg.impl[x][alg.impl[y][z]] == alg.impl[alg.prod[x][y]][z])
-            yield (lambda: f"implication chain at ({alg.names[x]}, "
-                           f"{alg.names[y]}, {alg.names[z]})",
-                   alg.leq(alg.prod[alg.impl[x][y]][alg.impl[y][z]],
-                           alg.impl[x][z]))
+            yield (alg.impl[x][alg.impl[y][z]] == alg.impl[alg.prod[x][y]][z]
+                   or (f"currying at ({alg.names[x]}, {alg.names[y]}, "
+                       f"{alg.names[z]})"))
+            yield (alg.leq(alg.prod[alg.impl[x][y]][alg.impl[y][z]],
+                           alg.impl[x][z])
+                   or (f"implication chain at ({alg.names[x]}, "
+                       f"{alg.names[y]}, {alg.names[z]})"))
 
 
 @law("product-join-distributivity", "arithmetic",
@@ -253,9 +250,8 @@ def _distributivity_at(alg, x):
         for z in range(alg.n):
             lhs = alg.prod[x][alg.join[y][z]]
             rhs = alg.join[alg.prod[x][y]][alg.prod[x][z]]
-            yield (lambda: f"{alg.names[x]} * ({alg.names[y]} v "
-                           f"{alg.names[z]})",
-                   lhs == rhs)
+            yield (lhs == rhs
+                   or f"{alg.names[x]} * ({alg.names[y]} v {alg.names[z]})")
 
 
 # The exponent pairs (m, k) of power-join-bound, in walk order.
@@ -285,28 +281,27 @@ def _power_bound_at(alg, x):
         for m, k in _EXPONENTS:
             lhs = alg.power(alg.join[x][y], m + k)
             rhs = alg.join[alg.power(x, m)][alg.power(y, k)]
-            yield (lambda: f"({alg.names[x]} v {alg.names[y]})^{m + k} vs "
-                   f"{alg.names[x]}^{m} v {alg.names[y]}^{k}",
-                   alg.leq(lhs, rhs))
+            yield (alg.leq(lhs, rhs)
+                   or (f"({alg.names[x]} v {alg.names[y]})^{m + k} vs "
+                       f"{alg.names[x]}^{m} v {alg.names[y]}^{k}"))
 
 
 @law("negation-basics", "arithmetic",
      "negation reverses order and kills products")
 def _negation_basics(alg):
-    yield lambda: "negation of 0", alg.neg(alg.bottom) == alg.top
-    yield lambda: "negation of 1", alg.neg(alg.top) == alg.bottom
+    yield alg.neg(alg.bottom) == alg.top or "negation of 0"
+    yield alg.neg(alg.top) == alg.bottom or "negation of 1"
     for x in range(alg.n):
-        yield (lambda: f"{alg.names[x]} * its negation",
-               alg.prod[x][alg.neg(x)] == alg.bottom)
-        yield (lambda: f"{alg.names[x]} under double negation",
-               alg.leq(x, alg.neg(alg.neg(x))))
-        yield (lambda: f"triple negation of {alg.names[x]}",
-               alg.neg(alg.neg(alg.neg(x))) == alg.neg(x))
+        yield (alg.prod[x][alg.neg(x)] == alg.bottom
+               or f"{alg.names[x]} * its negation")
+        yield (alg.leq(x, alg.neg(alg.neg(x)))
+               or f"{alg.names[x]} under double negation")
+        yield (alg.neg(alg.neg(alg.neg(x))) == alg.neg(x)
+               or f"triple negation of {alg.names[x]}")
         for y in range(alg.n):
             if alg.leq(x, y):
-                yield (lambda: f"negation reverses {alg.names[x]} <= "
-                               f"{alg.names[y]}",
-                       alg.leq(alg.neg(y), alg.neg(x)))
+                yield (alg.leq(alg.neg(y), alg.neg(x))
+                       or f"negation reverses {alg.names[x]} <= {alg.names[y]}")
 
 
 @law("center-structure", "arithmetic",
@@ -314,23 +309,23 @@ def _negation_basics(alg):
 def _center_structure(alg):
     center = alg.boolean_center
     for e in elements(center):
-        yield lambda: f"{alg.names[e]} idempotent", alg.prod[e][e] == e
-        yield (lambda: f"{alg.names[e]} joins its negation to 1",
-               alg.join[e][alg.neg(e)] == alg.top)
-        yield (lambda: f"double negation fixes {alg.names[e]}",
-               alg.neg(alg.neg(e)) == e)
-        yield (lambda: f"negation of {alg.names[e]} stays central",
-               contains(center, alg.neg(e)))
+        yield alg.prod[e][e] == e or f"{alg.names[e]} idempotent"
+        yield (alg.join[e][alg.neg(e)] == alg.top
+               or f"{alg.names[e]} joins its negation to 1")
+        yield (alg.neg(alg.neg(e)) == e
+               or f"double negation fixes {alg.names[e]}")
+        yield (contains(center, alg.neg(e))
+               or f"negation of {alg.names[e]} stays central")
         for x in range(alg.n):
-            yield (lambda: f"{alg.names[e]} meet vs product at {alg.names[x]}",
-                   alg.meet[e][x] == alg.prod[e][x])
+            yield (alg.meet[e][x] == alg.prod[e][x]
+                   or f"{alg.names[e]} meet vs product at {alg.names[x]}")
         for f in elements(center):
-            yield (lambda: f"center closed under join at ({alg.names[e]}, "
-                           f"{alg.names[f]})",
-                   contains(center, alg.join[e][f]))
-            yield (lambda: f"center closed under meet at ({alg.names[e]}, "
-                           f"{alg.names[f]})",
-                   contains(center, alg.meet[e][f]))
+            yield (contains(center, alg.join[e][f])
+                   or (f"center closed under join at ({alg.names[e]}, "
+                       f"{alg.names[f]})"))
+            yield (contains(center, alg.meet[e][f])
+                   or (f"center closed under meet at ({alg.names[e]}, "
+                       f"{alg.names[f]})"))
 
 
 # -- section: filters and primes -------------------------------------------
@@ -344,27 +339,27 @@ def _filters_closure_system(alg):
     fam = set(all_filters(alg))
     for f in fam:
         for g in fam:
-            yield (lambda: f"intersection of {alg.subset_str(f)} and "
-                           f"{alg.subset_str(g)}",
-                   f & g in fam)
+            yield (f & g in fam
+                   or (f"intersection of {alg.subset_str(f)} and "
+                       f"{alg.subset_str(g)}"))
     for mask in map(singleton, range(alg.n)):
         gen_f = generated_filter(alg, mask)
-        yield (lambda: f"generated filter of {alg.subset_str(mask)} is a filter",
-               gen_f in fam)
-        yield (lambda: f"generation is extensive at {alg.subset_str(mask)}",
-               mask & ~gen_f == 0)
-        yield (lambda: f"generated filter of {alg.subset_str(mask)} is least",
-               all(not (mask & ~f == 0 and gen_f & ~f) for f in fam))
+        yield (gen_f in fam
+               or f"generated filter of {alg.subset_str(mask)} is a filter")
+        yield (mask & ~gen_f == 0
+               or f"generation is extensive at {alg.subset_str(mask)}")
+        yield (all(not (mask & ~f == 0 and gen_f & ~f) for f in fam)
+               or f"generated filter of {alg.subset_str(mask)} is least")
 
 
 @law("filter-lattice-frame", "filters",
      "the filter lattice is a bounded frame")
 def _filter_lattice_frame(alg):
     members = all_filters(alg)
-    yield lambda: "bottom is the top singleton", members[0] == singleton(alg.top)
-    yield lambda: "top is the whole carrier", members[-1] == alg.universe
-    yield (lambda: "meets distribute over every join of subfamilies",
-           is_distributive(filter_lattice(alg)))
+    yield members[0] == singleton(alg.top) or "bottom is the top singleton"
+    yield members[-1] == alg.universe or "top is the whole carrier"
+    yield (is_distributive(filter_lattice(alg))
+           or "meets distribute over every join of subfamilies")
 
 
 @law("finite-principality", "filters",
@@ -377,12 +372,12 @@ def _finite_principality(alg):
     principal = [principal_filter(alg, x) for x in rng]
     for f in all_filters(alg):
         g = principal_generator(alg, f)
-        yield (lambda: f"{alg.subset_str(f)} regenerated from {alg.names[g]}",
-               principal[g] == f)
+        yield (principal[g] == f
+               or f"{alg.subset_str(f)} regenerated from {alg.names[g]}")
         for x, gx in enumerate(alg.prod[g]):
-            yield (lambda: f"extension of {alg.subset_str(f)} by {alg.names[x]} "
-                           f"vs its product",
-                   extend_filter(alg, f, x) == principal[gx])
+            yield (extend_filter(alg, f, x) == principal[gx]
+                   or (f"extension of {alg.subset_str(f)} by {alg.names[x]} "
+                       f"vs its product"))
 
 
 @law("filter-extension-law", "filters",
@@ -392,12 +387,12 @@ def _filter_extension_law(alg):
     for f in all_filters(alg):
         exts = [extend_filter(alg, f, x) for x in rng]
         for x, ext in enumerate(exts):
-            yield (lambda: f"extension of {alg.subset_str(f)} by {alg.names[x]}",
-                   ext == generated_filter(alg, f | singleton(x)))
+            yield (ext == generated_filter(alg, f | singleton(x))
+                   or f"extension of {alg.subset_str(f)} by {alg.names[x]}")
             for y in elements(alg.up[x]):
-                yield (lambda: f"extension antitone at {alg.names[x]} <= "
-                               f"{alg.names[y]}",
-                       exts[y] & ~ext == 0)
+                yield (exts[y] & ~ext == 0
+                       or (f"extension antitone at {alg.names[x]} <= "
+                           f"{alg.names[y]}"))
 
 
 @law("prime-pair-laws", "spectrum",
@@ -410,19 +405,18 @@ def _prime_pair_laws(alg):
                           if contains(p, alg.join[x][y]))
         filterwise = all(f & ~p == 0 or g & ~p == 0
                          for f in fam for g in fam if f & g & ~p == 0)
-        yield (lambda: f"pair laws at {alg.subset_str(p)}",
-               elementwise == filterwise)
-        yield (lambda: f"declared verdict at {alg.subset_str(p)}",
-               elementwise == is_prime(alg, p))
+        yield elementwise == filterwise or f"pair laws at {alg.subset_str(p)}"
+        yield (elementwise == is_prime(alg, p)
+               or f"declared verdict at {alg.subset_str(p)}")
 
 
 @law("maximal-implies-prime", "spectrum",
      "maximal proper filters are prime")
 def _maximal_implies_prime(alg):
     for m in maximal_filters(alg):
-        yield lambda: f"{alg.subset_str(m)} prime", is_prime(alg, m)
-        yield (lambda: f"{alg.subset_str(m)} maximal among proper filters",
-               all(not (m & ~f == 0 and f != m) for f in proper_filters(alg)))
+        yield is_prime(alg, m) or f"{alg.subset_str(m)} prime"
+        yield (all(not (m & ~f == 0 and f != m) for f in proper_filters(alg))
+               or f"{alg.subset_str(m)} maximal among proper filters")
 
 
 @law("prime-separation", "spectrum",
@@ -431,9 +425,9 @@ def _prime_separation(alg):
     for f in all_filters(alg):
         for c in elements(alg.universe & ~f):
             p = separate(alg, f, c)
-            yield (lambda: f"separating {alg.subset_str(f)} from "
-                           f"{alg.subset_str(alg.down[c])}",
-                   is_prime(alg, p) and f & ~p == 0 and p & alg.down[c] == 0)
+            yield (is_prime(alg, p) and f & ~p == 0 and p & alg.down[c] == 0
+                   or (f"separating {alg.subset_str(f)} from "
+                       f"{alg.subset_str(alg.down[c])}"))
 
 
 @law("primes-reach-bottom", "spectrum",
@@ -441,13 +435,13 @@ def _prime_separation(alg):
 def _primes_reach_bottom(alg):
     mins = minimal_primes(alg)
     for p in prime_filters(alg):
-        yield (lambda: f"{alg.subset_str(p)} contains a minimal prime",
-               any(m & ~p == 0 for m in mins))
+        yield (any(m & ~p == 0 for m in mins)
+               or f"{alg.subset_str(p)} contains a minimal prime")
     inter = alg.universe
     for m in mins:
         inter &= m
-    yield (lambda: "intersection of minimal primes is trivial",
-           inter == singleton(alg.top))
+    yield (inter == singleton(alg.top)
+           or "intersection of minimal primes is trivial")
 
 
 @law("minimal-prime-complement-law", "spectrum",
@@ -457,9 +451,8 @@ def _minimal_prime_complement_law(alg):
         listed = p in minimal_primes(alg)
         route = is_minimal_prime(alg, p)
         perp_route = all(coannulet(alg, x) & ~p for x in elements(p))
-        yield (lambda: f"complement route at {alg.subset_str(p)}", route == listed)
-        yield (lambda: f"coannulet route at {alg.subset_str(p)}",
-               perp_route == listed)
+        yield route == listed or f"complement route at {alg.subset_str(p)}"
+        yield perp_route == listed or f"coannulet route at {alg.subset_str(p)}"
 
 
 @law("prime-core-properties", "spectrum",
@@ -467,18 +460,17 @@ def _minimal_prime_complement_law(alg):
 def _prime_core_properties(alg):
     for p in prime_filters(alg):
         comp = alg.universe & ~p
-        yield (lambda: f"complement of {alg.subset_str(p)} is an ideal",
-               is_lattice_ideal(alg, comp))
+        yield (is_lattice_ideal(alg, comp)
+               or f"complement of {alg.subset_str(p)} is an ideal")
         core = prime_core(alg, p)
-        yield (lambda: f"core of {alg.subset_str(p)} via its complement ideal",
-               core == omega_filter(alg, comp))
+        yield (core == omega_filter(alg, comp)
+               or f"core of {alg.subset_str(p)} via its complement ideal")
         inter = alg.universe
         for m in minimal_primes(alg):
             if m & ~p == 0:
                 inter &= m
-        yield (lambda: f"core of {alg.subset_str(p)} via minimal primes",
-               core == inter)
-        yield lambda: f"core sits inside {alg.subset_str(p)}", core & ~p == 0
+        yield core == inter or f"core of {alg.subset_str(p)} via minimal primes"
+        yield core & ~p == 0 or f"core sits inside {alg.subset_str(p)}"
 
 
 # -- section: coannihilators and omega filters -----------------------------
@@ -491,29 +483,29 @@ def _coannihilator_galois(alg):
     = coann(x * y) (coannulet-arithmetic)."""
     for x_mask in map(singleton, range(alg.n)):
         perp = coannihilator(alg, x_mask)
-        yield (lambda: f"{alg.subset_str(x_mask)} perp is a filter",
-               is_filter(alg, perp))
-        yield (lambda: f"{alg.subset_str(x_mask)} inside its double perp",
-               x_mask & ~double_coannihilator(alg, x_mask) == 0)
-        yield (lambda: f"triple perp collapses at {alg.subset_str(x_mask)}",
-               coannihilator(alg, double_coannihilator(alg, x_mask)) == perp)
-        yield (lambda: f"perp matches generated filter at {alg.subset_str(x_mask)}",
-               coannihilator(alg, generated_filter(alg, x_mask)) == perp)
+        yield (is_filter(alg, perp)
+               or f"{alg.subset_str(x_mask)} perp is a filter")
+        yield (x_mask & ~double_coannihilator(alg, x_mask) == 0
+               or f"{alg.subset_str(x_mask)} inside its double perp")
+        yield (coannihilator(alg, double_coannihilator(alg, x_mask)) == perp
+               or f"triple perp collapses at {alg.subset_str(x_mask)}")
+        yield (coannihilator(alg, generated_filter(alg, x_mask)) == perp
+               or f"perp matches generated filter at {alg.subset_str(x_mask)}")
         for y in range(alg.n):
             y_mask = x_mask | singleton(y)
-            yield (lambda: f"antitone from {alg.subset_str(x_mask)} into "
-                   f"{alg.subset_str(y_mask)}",
-                   coannihilator(alg, y_mask) & ~perp == 0)
+            yield (coannihilator(alg, y_mask) & ~perp == 0
+                   or (f"antitone from {alg.subset_str(x_mask)} into "
+                       f"{alg.subset_str(y_mask)}"))
 
 
 @law("coannulet-arithmetic", "coannihilators",
      "coannulets turn joins into joins and products or meets into intersections")
 def _coannulet_arithmetic(alg):
     view = coannulet_lattice(alg)
-    yield lambda: "bottom coannulet is trivial", \
-        coannulet(alg, alg.bottom) == singleton(alg.top)
-    yield (lambda: "top coannulet is everything",
-           coannulet(alg, alg.top) == alg.universe)
+    yield (coannulet(alg, alg.bottom) == singleton(alg.top)
+           or "bottom coannulet is trivial")
+    yield (coannulet(alg, alg.top) == alg.universe
+           or "top coannulet is everything")
     rng = range(alg.n)
     perps = [coannulet(alg, x) for x in rng]
     pos = [view.index(p) for p in perps]
@@ -521,22 +513,22 @@ def _coannulet_arithmetic(alg):
         px, jx = perps[x], view.join[pos[x]]
         for y in rng:
             py = perps[y]
-            yield (lambda: f"join transfers at ({alg.names[x]}, {alg.names[y]})",
-                   view.keys[jx[pos[y]]] == perps[alg.join[x][y]])
-            yield (lambda: f"product and meet agree at ({alg.names[x]}, "
-                           f"{alg.names[y]})",
-                   perps[alg.prod[x][y]] == perps[alg.meet[x][y]] == px & py)
+            yield (view.keys[jx[pos[y]]] == perps[alg.join[x][y]]
+                   or f"join transfers at ({alg.names[x]}, {alg.names[y]})")
+            yield (perps[alg.prod[x][y]] == perps[alg.meet[x][y]] == px & py
+                   or (f"product and meet agree at ({alg.names[x]}, "
+                       f"{alg.names[y]})"))
             if alg.leq(x, y):
-                yield (lambda: f"monotone at {alg.names[x]} <= {alg.names[y]}",
-                       px & ~py == 0)
+                yield (px & ~py == 0
+                       or f"monotone at {alg.names[x]} <= {alg.names[y]}")
 
 
 @law("coannihilator-pseudocomplement", "coannihilators",
      "a filter's coannihilator is its pseudocomplement in the filter lattice")
 def _coannihilator_pseudocomplement(alg):
     for f in all_filters(alg):
-        yield (lambda: f"perp of {alg.subset_str(f)} is its pseudocomplement",
-               pseudocomplement_check(alg, f))
+        yield (pseudocomplement_check(alg, f)
+               or f"perp of {alg.subset_str(f)} is its pseudocomplement")
 
 
 @law("coannihilator-lattice-boolean", "coannihilators",
@@ -544,14 +536,14 @@ def _coannihilator_pseudocomplement(alg):
 def _coannihilator_lattice_boolean(alg):
     big = coannihilator_lattice(alg)
     small = coannulet_lattice(alg)
-    yield lambda: "coannihilator lattice is Boolean", is_boolean(big)
-    yield lambda: "coannulets form a bounded sublattice", is_sublattice(small, big)
+    yield is_boolean(big) or "coannihilator lattice is Boolean"
+    yield is_sublattice(small, big) or "coannulets form a bounded sublattice"
     for u in big.keys:
         comp = coannihilator(alg, u)
         i, j = big.index(u), big.index(comp)
-        yield (lambda: f"perp complements {alg.subset_str(u)}",
-               big.keys[big.meet[i][j]] == singleton(alg.top)
-               and big.keys[big.join[i][j]] == alg.universe)
+        yield (big.keys[big.meet[i][j]] == singleton(alg.top)
+               and big.keys[big.join[i][j]] == alg.universe
+               or f"perp complements {alg.subset_str(u)}")
 
 
 @law("coannulet-via-minimal-primes", "coannihilators",
@@ -562,8 +554,8 @@ def _coannulet_via_minimal_primes(alg):
         for m in minimal_primes(alg):
             if not contains(m, x):
                 inter &= m
-        yield (lambda: f"coannulet of {alg.names[x]} from the points",
-               coannulet(alg, x) == inter)
+        yield (coannulet(alg, x) == inter
+               or f"coannulet of {alg.names[x]} from the points")
 
 
 @law("dense-element-characterizations", "coannihilators",
@@ -574,21 +566,21 @@ def _dense_element_characterizations(alg):
         trivial_perp = coannulet(alg, x) == singleton(alg.top)
         outside_all = all(not contains(m, x) for m in minimal_primes(alg))
         full_dbl = alg.double_coannulets[x] == alg.universe
-        yield (lambda: f"characterizations agree at {alg.names[x]}",
-               trivial_perp == outside_all == full_dbl == contains(dense, x))
-    yield lambda: "dense elements form an ideal", \
-        alg.n == 1 or is_lattice_ideal(alg, dense)
+        yield (trivial_perp == outside_all == full_dbl == contains(dense, x)
+               or f"characterizations agree at {alg.names[x]}")
+    yield (alg.n == 1 or is_lattice_ideal(alg, dense)
+           or "dense elements form an ideal")
 
 
 @law("proper-coannihilators-avoid-dense", "coannihilators",
      "proper coannihilators and proper omega filters contain no dense element")
 def _proper_coannihilators_avoid_dense(alg):
-    yield lambda: "proper omega filters avoid dense elements", \
-        proper_omega_no_dense_check(alg)
+    yield (proper_omega_no_dense_check(alg)
+           or "proper omega filters avoid dense elements")
     for u in coannihilator_family(alg):
         if u != alg.universe:
-            yield (lambda: f"proper coannihilator {alg.subset_str(u)} avoids dense",
-                   u & alg.dense_elements == 0)
+            yield (u & alg.dense_elements == 0
+                   or f"proper coannihilator {alg.subset_str(u)} avoids dense")
 
 
 @law("omega-filter-construction", "coannihilators",
@@ -597,34 +589,34 @@ def _omega_filter_construction(alg):
     ideals = all_ideals(alg)
     omegas = [omega_filter(alg, i) for i in ideals]
     for i, oi in zip(ideals, omegas):
-        yield (lambda: f"image of ideal {alg.subset_str(i)} is a filter",
-               is_filter(alg, oi))
+        yield (is_filter(alg, oi)
+               or f"image of ideal {alg.subset_str(i)} is a filter")
         for j, oj in zip(ideals, omegas):
             if i & ~j == 0:
-                yield (lambda: f"monotone at {alg.subset_str(i)} in "
-                               f"{alg.subset_str(j)}",
-                       oi & ~oj == 0)
+                yield (oi & ~oj == 0
+                       or (f"monotone at {alg.subset_str(i)} in "
+                           f"{alg.subset_str(j)}"))
     for x in range(alg.n):
-        yield (lambda: f"principal ideal of {alg.names[x]} maps to its coannulet",
-               omega_filter(alg, alg.down[x]) == coannulet(alg, x))
+        yield (omega_filter(alg, alg.down[x]) == coannulet(alg, x)
+               or f"principal ideal of {alg.names[x]} maps to its coannulet")
     view = omega_filter_lattice(alg)
-    yield lambda: "omega filters form a bounded distributive lattice", \
-        is_distributive(view)
-    yield lambda: "omega filters coincide with the coannulets here", \
-        omega_family(alg) == coannulet_family(alg)
+    yield (is_distributive(view)
+           or "omega filters form a bounded distributive lattice")
+    yield (omega_family(alg) == coannulet_family(alg)
+           or "omega filters coincide with the coannulets here")
 
 
 @law("nilpotents-and-center", "coannihilators",
      "nilpotents form an ideal touching the center only at the bottom")
 def _nilpotents_and_center(alg):
     nil = alg.nilpotents
-    yield lambda: "bottom is nilpotent", contains(nil, alg.bottom)
-    yield lambda: "nilpotents form an ideal", is_lattice_ideal(alg, nil)
-    yield lambda: "center meets nilpotents only at bottom", \
-        alg.boolean_center & nil == singleton(alg.bottom)
+    yield contains(nil, alg.bottom) or "bottom is nilpotent"
+    yield is_lattice_ideal(alg, nil) or "nilpotents form an ideal"
+    yield (alg.boolean_center & nil == singleton(alg.bottom)
+           or "center meets nilpotents only at bottom")
     for e in elements(alg.boolean_center):
-        yield (lambda: f"powers of central {alg.names[e]} are constant",
-               all(alg.power(e, k) == e for k in range(1, alg.n + 2)))
+        yield (all(alg.power(e, k) == e for k in range(1, alg.n + 2))
+               or f"powers of central {alg.names[e]} are constant")
 
 
 # -- section: structure maps and classification ----------------------------
@@ -634,11 +626,11 @@ def _nilpotents_and_center(alg):
 def _principal_filter_map(alg):
     maps = structure_maps(alg)
     m = maps["element to principal filter"]
-    yield lambda: "order reversing homomorphism onto the filter lattice", \
-        m.kind == "dual lattice homomorphism" and m.surjective
-    yield lambda: "kernel quotient transports", \
-        kernel_transports(element_lattice(alg), m.images,
-                          filter_lattice(alg), dual=True)
+    yield (m.kind == "dual lattice homomorphism" and m.surjective
+           or "order reversing homomorphism onto the filter lattice")
+    yield (kernel_transports(element_lattice(alg), m.images,
+                             filter_lattice(alg), dual=True)
+           or "kernel quotient transports")
 
 
 @law("coannulet-map", "maps",
@@ -646,15 +638,15 @@ def _principal_filter_map(alg):
 def _coannulet_map(alg):
     maps = structure_maps(alg)
     m = maps["element to coannulet"]
-    yield lambda: "order preserving homomorphism onto the coannulets", \
-        m.kind == "lattice homomorphism" and m.surjective
-    yield lambda: "kernel quotient transports", \
-        kernel_transports(element_lattice(alg), m.images,
-                          coannulet_lattice(alg), dual=False)
+    yield (m.kind == "lattice homomorphism" and m.surjective
+           or "order preserving homomorphism onto the coannulets")
+    yield (kernel_transports(element_lattice(alg), m.images,
+                             coannulet_lattice(alg), dual=False)
+           or "kernel quotient transports")
     for x in range(alg.n):
         f = principal_filter(alg, x)
-        yield (lambda: f"factors through the filter of {alg.names[x]}",
-               coannulet(alg, principal_generator(alg, f)) == coannulet(alg, x))
+        yield (coannulet(alg, principal_generator(alg, f)) == coannulet(alg, x)
+               or f"factors through the filter of {alg.names[x]}")
 
 
 @law("kernel-classes-at-bounds", "maps",
@@ -664,16 +656,16 @@ def _kernel_classes_at_bounds(alg):
     spectral = filter_kernel_spectral(alg)
     fl = filter_lattice(alg)
     bottom_class = set(cong.class_of(alg.bottom))
-    yield lambda: "class of 0 is the dense elements", \
-        bottom_class == set(elements(alg.dense_elements))
-    yield lambda: "class of 1 is alone", cong.class_of(alg.top) == (alg.top,)
+    yield (bottom_class == set(elements(alg.dense_elements))
+           or "class of 0 is the dense elements")
+    yield cong.class_of(alg.top) == (alg.top,) or "class of 1 is alone"
     trivial = fl.index(singleton(alg.top))
-    yield lambda: "class of the trivial filter is alone", \
-        spectral.class_of(trivial) == (trivial,)
+    yield (spectral.class_of(trivial) == (trivial,)
+           or "class of the trivial filter is alone")
     top_class = {fl.keys[i] for i in spectral.class_of(fl.index(alg.universe))}
     with_dense = {f for f in fl.keys if f & alg.dense_elements}
-    yield lambda: "class of the full filter holds the dense containing filters", \
-        top_class == with_dense
+    yield (top_class == with_dense
+           or "class of the full filter holds the dense containing filters")
 
 
 @law("filter-to-cohull-map", "maps",
@@ -681,18 +673,18 @@ def _kernel_classes_at_bounds(alg):
 def _filter_to_cohull_map(alg):
     maps = structure_maps(alg)
     m = maps["filter to cohull"]
-    yield lambda: "order preserving homomorphism onto the cohulls", \
-        m.kind == "lattice homomorphism" and m.surjective
+    yield (m.kind == "lattice homomorphism" and m.surjective
+           or "order preserving homomorphism onto the cohulls")
     fam = all_filters(alg)
     cohulls = [cohull(alg, f) for f in fam]
     for f, cf in zip(fam, cohulls):
         for g, cg in zip(fam, cohulls):
-            yield (lambda: f"join goes to union at ({alg.subset_str(f)}, "
-                   f"{alg.subset_str(g)})",
-                   cohull(alg, filter_join(alg, f, g)) == (cf | cg))
-            yield (lambda: f"meet goes to intersection at ({alg.subset_str(f)}, "
-                   f"{alg.subset_str(g)})",
-                   cohull(alg, f & g) == (cf & cg))
+            yield (cohull(alg, filter_join(alg, f, g)) == (cf | cg)
+                   or (f"join goes to union at ({alg.subset_str(f)}, "
+                       f"{alg.subset_str(g)})"))
+            yield (cohull(alg, f & g) == (cf & cg)
+                   or (f"meet goes to intersection at ({alg.subset_str(f)}, "
+                       f"{alg.subset_str(g)})"))
 
 
 @law("generator-coannulet-map", "maps",
@@ -701,23 +693,23 @@ def _generator_coannulet_map(alg):
     maps = structure_maps(alg)
     m = maps["filter to generator coannulet"]
     fl = filter_lattice(alg)
-    yield lambda: "order reversing homomorphism onto the coannulets", \
-        m.kind == "dual lattice homomorphism" and m.surjective
-    yield lambda: "kernels by cohull and by generator coannulet coincide", \
-        kernel_partition(fl, m.images) == filter_kernel_spectral(alg) and \
-        kernel_transports(fl, m.images, coannulet_lattice(alg), dual=True)
+    yield (m.kind == "dual lattice homomorphism" and m.surjective
+           or "order reversing homomorphism onto the coannulets")
+    yield (kernel_partition(fl, m.images) == filter_kernel_spectral(alg)
+           and kernel_transports(fl, m.images, coannulet_lattice(alg), dual=True)
+           or "kernels by cohull and by generator coannulet coincide")
 
 
 @law("point-translations", "maps",
      "cohulls, hulls, and coannulets translate into each other bijectively")
 def _point_translations(alg):
     maps = structure_maps(alg)
-    yield lambda: "cohull to hull translation is a bijection", \
-        maps["cohull to hull"].bijective
-    yield lambda: "coannulet to hull translation is a bijection", \
-        maps["coannulet to hull"].bijective
-    yield lambda: "hull lattice matches cohull lattice in size", \
-        hull_lattice(alg).n == cohull_lattice(alg).n
+    yield (maps["cohull to hull"].bijective
+           or "cohull to hull translation is a bijection")
+    yield (maps["coannulet to hull"].bijective
+           or "coannulet to hull translation is a bijection")
+    yield (hull_lattice(alg).n == cohull_lattice(alg).n
+           or "hull lattice matches cohull lattice in size")
 
 
 @statement("quasicomplemented-equivalences", "classification",
@@ -776,43 +768,40 @@ def _alpha_closure_laws(alg):
     """Checked on filters, as the closure of a subset is the closure of
     the filter it generates; monotony is meet preservation at F <= G."""
     fam = alpha_family(alg)
-    yield (lambda: "trivial filter is closed",
-           alpha_closure(alg, singleton(alg.top)) == singleton(alg.top))
-    yield (lambda: "whole carrier is closed",
-           alpha_closure(alg, alg.universe) == alg.universe)
+    yield (alpha_closure(alg, singleton(alg.top)) == singleton(alg.top)
+           or "trivial filter is closed")
+    yield (alpha_closure(alg, alg.universe) == alg.universe
+           or "whole carrier is closed")
     filters = all_filters(alg)
     closures = [alpha_closure(alg, f) for f in filters]
     for f, c in zip(filters, closures):
-        yield lambda: f"extensive at {alg.subset_str(f)}", f & ~c == 0
-        yield (lambda: f"idempotent at {alg.subset_str(f)}",
-               alpha_closure(alg, c) == c)
-        yield (lambda: f"closure of {alg.subset_str(f)} lands in the family",
-               c in fam)
+        yield f & ~c == 0 or f"extensive at {alg.subset_str(f)}"
+        yield alpha_closure(alg, c) == c or f"idempotent at {alg.subset_str(f)}"
+        yield c in fam or f"closure of {alg.subset_str(f)} lands in the family"
         for g, cg in zip(filters, closures):
-            yield (lambda: f"meets preserved at ({alg.subset_str(f)}, "
-                           f"{alg.subset_str(g)})",
-                   alpha_closure(alg, f & g) == c & cg)
+            yield (alpha_closure(alg, f & g) == c & cg
+                   or (f"meets preserved at ({alg.subset_str(f)}, "
+                       f"{alg.subset_str(g)})"))
     for u in coannihilator_family(alg):
-        yield (lambda: f"coannihilator {alg.subset_str(u)} is closed",
-               u in fam)
+        yield u in fam or f"coannihilator {alg.subset_str(u)} is closed"
 
 
 @law("alpha-frame-structure", "alpha",
      "the closed filters form a frame with a Heyting implication")
 def _alpha_frame_structure(alg):
     fam = alpha_family(alg)
-    yield lambda: "family is a frame", is_distributive(alpha_lattice(alg))
-    yield (lambda: "lattice of closed filters builds",
-           alpha_lattice(alg).n == len(fam))
+    yield is_distributive(alpha_lattice(alg)) or "family is a frame"
+    yield alpha_lattice(alg).n == len(fam) or "lattice of closed filters builds"
     for f in fam:
         for g in fam:
-            yield (lambda: f"intersection closed at ({alg.subset_str(f)}, "
-                   f"{alg.subset_str(g)})", f & g in fam)
+            yield (f & g in fam
+                   or (f"intersection closed at ({alg.subset_str(f)}, "
+                       f"{alg.subset_str(g)})"))
             h = heyting_implication(alg, f, g)
             for cand in fam:
-                yield (lambda: f"implication adjunction at ({alg.subset_str(f)}, "
-                       f"{alg.subset_str(g)}, {alg.subset_str(cand)})",
-                       (cand & ~h == 0) == (f & cand & ~g == 0))
+                yield ((cand & ~h == 0) == (f & cand & ~g == 0)
+                       or (f"implication adjunction at ({alg.subset_str(f)}, "
+                           f"{alg.subset_str(g)}, {alg.subset_str(cand)})"))
 
 
 @law("alpha-extension-law", "alpha",
@@ -822,20 +811,20 @@ def _alpha_extension_law(alg):
     for q in alpha_family(alg):
         exts = [alpha_extend(alg, q, a) for a in rng]
         for a, ext_a in enumerate(exts):
-            yield (lambda: f"extension of {alg.subset_str(q)} by {alg.names[a]}",
-                   ext_a == alpha_closure(alg, q | singleton(a)))
+            yield (ext_a == alpha_closure(alg, q | singleton(a))
+                   or f"extension of {alg.subset_str(q)} by {alg.names[a]}")
             for b, j in enumerate(alg.join[a]):
-                yield (lambda: f"extension meets at ({alg.subset_str(q)}, "
-                       f"{alg.names[a]}, {alg.names[b]})",
-                       ext_a & exts[b] == exts[j])
+                yield (ext_a & exts[b] == exts[j]
+                       or (f"extension meets at ({alg.subset_str(q)}, "
+                           f"{alg.names[a]}, {alg.names[b]})"))
 
 
 @law("transfer-isomorphism", "alpha",
      "closed filters and lattice filters of coannulets translate both ways")
 def _transfer_isomorphism(alg):
-    yield lambda: "round trips and adjunction", transfer_roundtrip_check(alg)
-    yield lambda: "families have equal size", \
-        len(view_filters(coannulet_lattice(alg))) == len(alpha_family(alg))
+    yield transfer_roundtrip_check(alg) or "round trips and adjunction"
+    yield (len(view_filters(coannulet_lattice(alg))) == len(alpha_family(alg))
+           or "families have equal size")
 
 
 def _prime_in_alpha_lattice(fam, mask):
@@ -867,22 +856,22 @@ def _prime_alpha_four_way(alg):
     for f in fam:
         if f == alg.universe:
             continue
-        yield (lambda: f"four routes agree at {alg.subset_str(f)}",
-               is_prime_alpha(alg, f) == _prime_in_alpha_lattice(fam, f)
+        yield (is_prime_alpha(alg, f) == _prime_in_alpha_lattice(fam, f)
                == _alpha_meet_irreducible(fam, f)
-               == _prime_coannulet_image(alg, f))
+               == _prime_coannulet_image(alg, f)
+               or f"four routes agree at {alg.subset_str(f)}")
         inter = alg.universe
         for p in primes:
             if f & ~p == 0:
                 inter &= p
-        yield (lambda: f"{alg.subset_str(f)} is the meet of primes above it",
-               inter == f)
+        yield (inter == f
+               or f"{alg.subset_str(f)} is the meet of primes above it")
     for q in fam:
         for c in elements(alg.universe & ~q):
             p = alpha_separate(alg, q, c)
-            yield (lambda: f"separation of {alg.subset_str(q)} from "
-                   f"{alg.subset_str(alg.down[c])} lands on a prime",
-                   p in primes and p & alg.down[c] == 0 and q & ~p == 0)
+            yield (p in primes and p & alg.down[c] == 0 and q & ~p == 0
+                   or (f"separation of {alg.subset_str(q)} from "
+                       f"{alg.subset_str(alg.down[c])} lands on a prime"))
 
 
 @statement("prime-alpha-are-minimal-primes", "alpha",
@@ -900,8 +889,8 @@ def _prime_alpha_are_minimal(alg):
      "the closure of a filter is the meet of the minimal primes above it")
 def _alpha_closure_via_points(alg):
     for f in all_filters(alg):
-        yield (lambda: f"closure of {alg.subset_str(f)} from the points",
-               alpha_closure(alg, f) == kernel_filter(alg, hull(alg, f)))
+        yield (alpha_closure(alg, f) == kernel_filter(alg, hull(alg, f))
+               or f"closure of {alg.subset_str(f)} from the points")
 
 
 @law("spectrum-topology", "topology",
@@ -909,15 +898,15 @@ def _alpha_closure_via_points(alg):
 def _spectrum_topology(alg):
     th = hull_topology(alg)
     td = dual_hull_topology(alg)
-    yield lambda: "hull and dual hull topologies coincide", topologies_equal(alg)
-    yield lambda: "zero dimensional", is_zero_dimensional(th)
-    yield lambda: "totally disconnected", is_totally_disconnected(th)
-    yield lambda: "compact", is_compact(th)
-    yield lambda: "dual compact", is_compact(td)
+    yield topologies_equal(alg) or "hull and dual hull topologies coincide"
+    yield is_zero_dimensional(th) or "zero dimensional"
+    yield is_totally_disconnected(th) or "totally disconnected"
+    yield is_compact(th) or "compact"
+    yield is_compact(td) or "dual compact"
     space = full_set(len(minimal_primes(alg)))
     for s in range(space + 1):
         pts = hull(alg, kernel_filter(alg, s))
-        yield (lambda: f"hull of kernel returns point set {s:b}", pts == s)
+        yield pts == s or f"hull of kernel returns point set {s:b}"
 
 
 def registry_idents() -> tuple[str, ...]:

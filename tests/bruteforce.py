@@ -105,9 +105,10 @@ def table_violations(n, join, meet, prod, impl, bottom, top):
 
 # -- residuation arithmetic, instance by instance ---------------------------
 # The suite's first three laws as walks over every instance, in the
-# suite's order: each yields (describe, ok), describe returning the
-# instance's text.  They read only the tables of ``alg`` (names, join,
-# meet, prod, impl, top), so they run on tables that fail validation.
+# suite's order: each yields True for an instance that holds, else the
+# instance's text (``ok or f"..."``).  They read only the tables of
+# ``alg`` (names, join, meet, prod, impl, top), so they run on tables
+# that fail validation.
 
 def _le(alg, a, b):
     return alg.meet[a][b] == a
@@ -124,20 +125,20 @@ def residuation_basics(alg):
     nm, impl, prod, top = alg.names, alg.impl, alg.prod, alg.top
     rng = range(len(nm))
     for x in rng:
-        yield lambda: f"1 -> {nm[x]}", impl[top][x] == x
-        yield lambda: f"{nm[x]} -> 1", impl[x][top] == top
+        yield impl[top][x] == x or f"1 -> {nm[x]}"
+        yield impl[x][top] == top or f"{nm[x]} -> 1"
         for y in rng:
-            yield (lambda: f"{nm[x]} * ({nm[x]} -> {nm[y]})",
-                   _le(alg, prod[x][impl[x][y]], y))
-            yield (lambda: f"order vs implication at ({nm[x]}, {nm[y]})",
-                   _le(alg, x, y) == (impl[x][y] == top))
-            yield (lambda: f"{nm[y]} below {nm[x]} -> {nm[y]}",
-                   _le(alg, y, impl[x][y]))
+            yield (_le(alg, prod[x][impl[x][y]], y)
+                   or f"{nm[x]} * ({nm[x]} -> {nm[y]})")
+            yield (_le(alg, x, y) == (impl[x][y] == top)
+                   or f"order vs implication at ({nm[x]}, {nm[y]})")
+            yield (_le(alg, y, impl[x][y])
+                   or f"{nm[y]} below {nm[x]} -> {nm[y]}")
             for z in rng:
-                yield (lambda: f"currying at ({nm[x]}, {nm[y]}, {nm[z]})",
-                       impl[x][impl[y][z]] == impl[prod[x][y]][z])
-                yield (lambda: f"implication chain at ({nm[x]}, {nm[y]}, {nm[z]})",
-                       _le(alg, prod[impl[x][y]][impl[y][z]], impl[x][z]))
+                yield (impl[x][impl[y][z]] == impl[prod[x][y]][z]
+                       or f"currying at ({nm[x]}, {nm[y]}, {nm[z]})")
+                yield (_le(alg, prod[impl[x][y]][impl[y][z]], impl[x][z])
+                       or f"implication chain at ({nm[x]}, {nm[y]}, {nm[z]})")
 
 
 def product_join_distributivity(alg):
@@ -146,8 +147,8 @@ def product_join_distributivity(alg):
     for x in rng:
         for y in rng:
             for z in rng:
-                yield (lambda: f"{nm[x]} * ({nm[y]} v {nm[z]})",
-                       prod[x][join[y][z]] == join[prod[x][y]][prod[x][z]])
+                yield (prod[x][join[y][z]] == join[prod[x][y]][prod[x][z]]
+                       or f"{nm[x]} * ({nm[y]} v {nm[z]})")
 
 
 def power_join_bound(alg):
@@ -159,10 +160,10 @@ def power_join_bound(alg):
                 for k in range(3):
                     if m + k == 0:
                         continue
-                    yield (lambda: f"({nm[x]} v {nm[y]})^{m + k} vs "
-                                   f"{nm[x]}^{m} v {nm[y]}^{k}",
-                           _le(alg, _power(alg, join[x][y], m + k),
-                               join[_power(alg, x, m)][_power(alg, y, k)]))
+                    yield (_le(alg, _power(alg, join[x][y], m + k),
+                               join[_power(alg, x, m)][_power(alg, y, k)])
+                           or (f"({nm[x]} v {nm[y]})^{m + k} vs "
+                               f"{nm[x]}^{m} v {nm[y]}^{k}"))
 
 def all_subsets(t):
     n = t["n"]

@@ -21,6 +21,21 @@ def test_every_statement_passes(key):
     assert failed == []
 
 
+@pytest.mark.parametrize("key", sorted(tb.ALL_TABLES))
+def test_passing_law_instances_yield_true(key):
+    """On an algebra where every law holds, each instance a law generator
+    yields is True, so ``ok or f"..."`` never builds its text; only the
+    three arithmetic laws also yield positive counts of instances."""
+    alg = build(tb.ALL_TABLES[key])
+    laws = [(ident, check.__wrapped__) for ident, _, _, check in suite.REGISTRY
+            if hasattr(check, "__wrapped__")]
+    assert len(laws) == 37
+    for ident, instances in laws:
+        for item in instances(alg):
+            assert item is True or (ident in ARITHMETIC and type(item) is int
+                                    and item > 0), (ident, item)
+
+
 def test_single_element_suite():
     alg = build((("u",), [["u"]], [["u"]], [["u"]], [["u"]], "u", "u"))
     assert all(r.passed for r in verify_suite(alg))
