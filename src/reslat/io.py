@@ -90,6 +90,8 @@ def check_document(lines, offset: int) -> DocumentCheck:
                     raise ParseError(
                         f"line {lineno}: unusable element names: "
                         + ", ".join(bad))
+            elif key == "label" and not rest.strip():
+                raise ParseError(f"line {lineno}: empty label")
             else:
                 fields[key] = (rest.strip(), lineno)
             continue

@@ -248,6 +248,12 @@ def test_no_element_names():
         parse_document(GOOD.replace("elements: 0 1", "elements:"))
 
 
+@pytest.mark.parametrize("line", ["label:", "label:   # comment"])
+def test_empty_label(line):
+    with pytest.raises(ParseError, match=r"^line 1: empty label$"):
+        parse_document(GOOD.replace("label: two", line))
+
+
 def test_repeated_element_names():
     with pytest.raises(ParseError, match="repeated element names: x"):
         parse_document(GOOD.replace("elements: 0 1", "elements: x x"))
