@@ -7,6 +7,7 @@ import tables as tb
 from conftest import build, catalog5, mask_of, set_of
 from gen import boolean, godel, luk
 from reslat import PreconditionError
+from reslat.search import mine
 from reslat.spectrum import (
     cohull,
     dual_hull_topology,
@@ -168,3 +169,13 @@ def test_topology_properties(bundled):
         assert is_compact(td)
         # the dual topology refines the hull topology
         assert set(th.opens) <= set(td.opens)
+
+
+def test_minimal_prime_space_has_at_most_n_opens():
+    """The minimal prime space is discrete and each of its open sets is
+    the hull of an element, so its 2^k opens for k minimal primes number
+    at most n: the topology statements never walk more sets than there
+    are elements."""
+    for alg in (*mine("true", 6).matches, boolean(6), luk(64)):
+        opens = hull_topology(alg).opens
+        assert len(opens) == 2 ** len(minimal_primes(alg)) <= alg.n, alg.names
