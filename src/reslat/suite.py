@@ -21,10 +21,11 @@ adds every other item to the instance count.
 
 The three laws of the arithmetic section are checked a row at a time:
 for one x, every y (and z) at once, with the tables as byte rows
-(``algebra.byte_rows``).  A row check holds exactly when every instance at x holds, and then yields
-their count.  Only an x whose row check fails is walked instance by
-instance, in the order of the full walk, so the instance count and the
-first failing instance are those of walking every instance.
+(``algebra.byte_rows``).  A row check holds exactly when every
+instance at x holds, and then yields their count.  Only an x whose row
+check fails is walked instance by instance, in the order of the full
+walk, so the instance count and the first failing instance are those of
+walking every instance.
 """
 
 from __future__ import annotations
