@@ -82,10 +82,8 @@ def alpha_join(alg: ResiduatedLattice, f: int, g: int) -> int:
 
 @derived
 def alpha_lattice(alg: ResiduatedLattice) -> LatticeView:
-    """The alpha filters as a lattice: meet is intersection, join is
-    the closure of the union."""
-    return build_view("alpha-filters", alpha_family(alg),
-                      lambda u, v: alpha_join(alg, u, v), lambda u, v: u & v)
+    """The alpha filters under inclusion."""
+    return build_view("alpha-filters", alpha_family(alg))
 
 
 def heyting_implication(alg: ResiduatedLattice, f_mask: int, g_mask: int) -> int:

@@ -27,7 +27,6 @@ from .alpha import is_alpha_filter
 from .coann import coannulet_lattice
 from .filters import (
     all_filters,
-    filter_join,
     principal_filter,
     principal_generator,
 )
@@ -81,26 +80,22 @@ def element_lattice(alg: ResiduatedLattice) -> LatticeView:
 
 @derived
 def filter_lattice(alg: ResiduatedLattice) -> LatticeView:
-    """All filters under inclusion: meet is intersection, join is the
-    generated filter of the union."""
-    return build_view("filters", all_filters(alg),
-                      lambda f, g: filter_join(alg, f, g), lambda f, g: f & g)
+    """All filters under inclusion."""
+    return build_view("filters", all_filters(alg))
 
 
 @derived
 def hull_lattice(alg: ResiduatedLattice) -> LatticeView:
     """Hulls of single elements as point sets over the minimal primes:
     the opens of the dual hull topology, under union and intersection."""
-    return build_view("hulls", dual_hull_topology(alg).opens,
-                      lambda u, v: u | v, lambda u, v: u & v)
+    return build_view("hulls", dual_hull_topology(alg).opens)
 
 
 @derived
 def cohull_lattice(alg: ResiduatedLattice) -> LatticeView:
     """Complements of the hulls, the opens of the hull topology, again
     under union and intersection."""
-    return build_view("cohulls", hull_topology(alg).opens,
-                      lambda u, v: u | v, lambda u, v: u & v)
+    return build_view("cohulls", hull_topology(alg).opens)
 
 
 def _map_report(name, domain, codomain, dual, images) -> MapReport:

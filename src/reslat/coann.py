@@ -10,9 +10,9 @@ the join of its members, so on a finite carrier every ideal is
 principal, the down-set of one element, and the ideal a set generates
 is the down-set of the set's join.
 
-Several maps here are many-to-one (different ideals can induce the same
-filter), so canonical representatives are fixed: the join of omega
-filters goes through the largest ideal inducing each operand.
+Each of the three lattices here (coannulets, coannihilators, omega
+filters) is its family under inclusion, as ``views.build_view`` reads
+it: meet is intersection, join the least member containing both.
 """
 
 from __future__ import annotations
@@ -79,39 +79,19 @@ def coannihilator_family(alg: ResiduatedLattice) -> tuple[int, ...]:
 
 @derived
 def coannulet_lattice(alg: ResiduatedLattice) -> LatticeView:
-    """Coannulets with intersection meet and join through representatives.
+    """Coannulets under inclusion.
 
-    The join of the coannulets of x and y is the coannulet of x v y,
-    whichever representatives x and y are taken.
+    The join of the coannulets of x and y is the coannulet of x v y, a
+    statement of the suite.
     """
-    fam = coannulet_family(alg)
-    perps = alg.coannulets
-    rep: dict[int, int] = {}
-    for x, p in enumerate(perps):
-        rep.setdefault(p, x)
-
-    def jn(u, v):
-        return perps[alg.join[rep[u]][rep[v]]]
-
-    def mt(u, v):
-        return u & v
-
-    return build_view("coannulets", fam, jn, mt)
+    return build_view("coannulets", coannulet_family(alg))
 
 
 @derived
 def coannihilator_lattice(alg: ResiduatedLattice) -> LatticeView:
-    """All coannihilators: meet is intersection, join is the double
-    coannihilator of the union."""
-    fam = coannihilator_family(alg)
-
-    def jn(u, v):
-        return double_coannihilator(alg, u | v)
-
-    def mt(u, v):
-        return u & v
-
-    return build_view("coannihilators", fam, jn, mt)
+    """All coannihilators under inclusion: the join is the double
+    coannihilator of the union, a statement of the suite."""
+    return build_view("coannihilators", coannihilator_family(alg))
 
 
 # -- lattice ideals and omega filters --------------------------------------
@@ -126,12 +106,6 @@ def is_lattice_ideal(alg: ResiduatedLattice, mask: int) -> bool:
 def all_ideals(alg: ResiduatedLattice) -> tuple[int, ...]:
     """Every lattice ideal: the principal down-sets."""
     return sort_family(alg.down[a] for a in range(alg.n))
-
-
-def ideal_join(alg: ResiduatedLattice, i: int, j: int) -> int:
-    """Least ideal containing both: the down-set of the join of the
-    union."""
-    return alg.down[alg.join_of(i | j)]
 
 
 def omega_filter(alg: ResiduatedLattice, ideal_mask: int) -> int:
@@ -152,40 +126,12 @@ def omega_family(alg: ResiduatedLattice) -> tuple[int, ...]:
 
 
 @derived
-def canonical_ideal_of(alg: ResiduatedLattice, f_mask: int) -> int:
-    """The largest ideal inducing the given omega filter: the down-set
-    of the join of the elements whose coannulet is F.
-
-    The ideal down-set of a induces coann(a), so the ideals inducing F
-    are the down-sets of those elements.  The elements are closed under
-    join, coann(a v b) being the join of coann(a) and coann(b) in the
-    coannulet lattice, so their join is the largest of them.
-    """
-    sources = 0
-    for a, p in enumerate(alg.coannulets):
-        if p == f_mask:
-            sources |= singleton(a)
-    if not sources:
-        raise PreconditionError(f"{alg.subset_str(f_mask)} is not an omega filter")
-    return alg.down[alg.join_of(sources)]
-
-
-@derived
 def omega_filter_lattice(alg: ResiduatedLattice) -> LatticeView:
-    """Omega filters: meet is intersection, join through canonical ideals.
+    """Omega filters under inclusion.
 
     That this lattice is distributive is a statement of the suite.
     """
-    fam = omega_family(alg)
-
-    def jn(u, v):
-        return omega_filter(
-            alg, ideal_join(alg, canonical_ideal_of(alg, u), canonical_ideal_of(alg, v)))
-
-    def mt(u, v):
-        return u & v
-
-    return build_view("omega-filters", fam, jn, mt)
+    return build_view("omega-filters", omega_family(alg))
 
 
 def proper_omega_no_dense_check(alg: ResiduatedLattice) -> bool:

@@ -90,8 +90,8 @@ def check_document(lines, offset: int) -> DocumentCheck:
                     raise ParseError(
                         f"line {lineno}: unusable element names: "
                         + ", ".join(bad))
-            elif key == "label" and not rest.strip():
-                raise ParseError(f"line {lineno}: empty label")
+            elif not rest.strip():
+                raise ParseError(f"line {lineno}: empty {key}")
             else:
                 fields[key] = (rest.strip(), lineno)
             continue

@@ -1,15 +1,17 @@
 """Small bounded lattices built over opaque node keys.
 
-Derived structures (families of filters, of coannihilators, of point
-sets) are lattices in their own right, usually with joins that are not
-plain unions.  A LatticeView materializes such a structure as index
-tables over a canonical key tuple so the generic predicates, congruence
-and quotient machinery apply uniformly.
+Every derived structure (the filters, the coannihilators, the omega and
+alpha filters, the hull and cohull point sets) is a family of subsets
+ordered by inclusion: meet is intersection and join is the least member
+containing both.  ``build_view`` reads both tables off the family
+alone.  A LatticeView materializes such a structure as index tables over
+a canonical key tuple so the generic predicates, congruence and quotient
+machinery apply uniformly.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Hashable, Sequence
+from collections.abc import Hashable, Sequence
 from functools import reduce
 
 from .algebra import byte_rows, derived
@@ -44,33 +46,38 @@ class LatticeView(Record):
         return self.meet[i][j] == i
 
 
-def build_view(name: str,
-               keys: Sequence[Key],
-               join_fn: Callable[[Key, Key], Key],
-               meet_fn: Callable[[Key, Key], Key]) -> LatticeView:
-    """Materialize tables from binary ops that make the keys a bounded
-    lattice.
+def build_view(name: str, keys: Sequence[int]) -> LatticeView:
+    """A family of subsets, given as masks, ordered by inclusion.
 
-    The ops must be closed on the key set; a result outside it is an
+    The meet of two members is their intersection.  Their join is the
+    member whose up-set in the family is their common up-set, as
+    ``search._tables_from_cover`` reads joins: the least member
+    containing both.  A family that is not a lattice this way is an
     internal-consistency failure of the caller's construction.
     """
     keys = tuple(keys)
     pos = {k: i for i, k in enumerate(keys)}
-
-    def table(fn, label):
-        t = []
-        for a in keys:
-            row = []
-            for b in keys:
-                v = fn(a, b)
-                if v not in pos:
-                    raise InternalCheckError(f"{name}: {label} of {a!r}, {b!r} gives {v!r}, "
-                                             "not a member of the family")
-                row.append(pos[v])
-            t.append(tuple(row))
-        return tuple(t)
-
-    return view_from_tables(name, keys, table(join_fn, "join"), table(meet_fn, "meet"))
+    meet = []
+    for u in keys:
+        row = []
+        for v in keys:
+            if u & v not in pos:
+                raise InternalCheckError(f"{name}: meet of {u!r}, {v!r} gives {u & v!r}, "
+                                         "not a member of the family")
+            row.append(pos[u & v])
+        meet.append(tuple(row))
+    ups = [sum(1 << j for j, v in enumerate(keys) if u & ~v == 0) for u in keys]
+    least = {up: i for i, up in enumerate(ups)}
+    join = []
+    for u, up_u in zip(keys, ups):
+        row = []
+        for v, up_v in zip(keys, ups):
+            if up_u & up_v not in least:
+                raise InternalCheckError(f"{name}: {u!r} and {v!r} have no least upper bound "
+                                         "in the family")
+            row.append(least[up_u & up_v])
+        join.append(tuple(row))
+    return view_from_tables(name, keys, tuple(join), tuple(meet))
 
 
 def view_from_tables(name: str, keys: Sequence[Key],
@@ -146,23 +153,6 @@ def is_homomorphism(view: LatticeView, target: LatticeView,
     return all(pos[view.join[i][j]] == jt[pos[i]][pos[j]]
                and pos[view.meet[i][j]] == mt[pos[i]][pos[j]]
                for i in nodes for j in nodes)
-
-
-def is_sublattice(sub: LatticeView, sup: LatticeView) -> bool:
-    """Same keys subset, same bounds, agreeing operations."""
-    try:
-        emb = [sup.index(k) for k in sub.keys]
-    except ValueError:
-        return False
-    if emb[sub.bottom] != sup.bottom or emb[sub.top] != sup.top:
-        return False
-    for i in range(sub.n):
-        for j in range(sub.n):
-            if emb[sub.join[i][j]] != sup.join[emb[i]][emb[j]]:
-                return False
-            if emb[sub.meet[i][j]] != sup.meet[emb[i]][emb[j]]:
-                return False
-    return True
 
 
 class Congruence(Record):

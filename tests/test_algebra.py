@@ -15,7 +15,8 @@ from reslat import InvalidAlgebraError, PreconditionError, check_tables, validat
 from reslat.algebra import derived
 from reslat.alpha import alpha_lattice
 from reslat.classify import classification
-from reslat.coann import all_ideals, canonical_ideal_of, omega_family
+from reslat.coann import all_ideals, omega_family
+from reslat.spectrum import is_prime
 from reslat.suite import verify_suite
 from reslat.views import view_filters
 
@@ -189,14 +190,14 @@ def test_derived_results_are_freed_with_the_algebra():
 
 def test_derived_memoises_results_and_not_errors(a7):
     assert omega_family(a7) is omega_family(a7)
-    not_omega = 0  # the empty set is not even a filter
-    assert not_omega not in omega_family(a7)
+    empty = 0  # not a filter, so neither prime nor an omega filter
+    assert empty not in omega_family(a7)
     for _ in range(2):
         with pytest.raises(PreconditionError) as exc:
-            canonical_ideal_of(a7, not_omega)
+            is_prime(a7, empty)
         assert exc.value.__context__ is None
-    assert canonical_ideal_of.__name__ == "canonical_ideal_of"
-    assert canonical_ideal_of.__doc__.startswith("The largest ideal inducing")
+    assert is_prime.__name__ == "is_prime"
+    assert is_prime.__doc__.startswith("Primality of a proper filter")
     assert all_ideals.__wrapped__(a7) == all_ideals(a7)
 
 

@@ -11,7 +11,6 @@ from gen import boolean, luk
 from reslat import PreconditionError
 from reslat.coann import (
     all_ideals,
-    canonical_ideal_of,
     coannihilator,
     coannihilator_family,
     coannihilator_lattice,
@@ -19,7 +18,6 @@ from reslat.coann import (
     coannulet_family,
     coannulet_lattice,
     double_coannihilator,
-    ideal_join,
     is_lattice_ideal,
     omega_family,
     omega_filter,
@@ -104,23 +102,6 @@ def test_omega_examples(a7):
     with pytest.raises(PreconditionError):
         omega_filter(a7, mask_of(a7, "0", "a", "b", "c"))  # b v c missing
     assert not is_lattice_ideal(a7, 0)
-
-
-def test_canonical_ideal(a7):
-    assert canonical_ideal_of(a7, mask_of(a7, "1")) == mask_of(a7, "0", "a", "c")
-    assert canonical_ideal_of(a7, mask_of(a7, "e", "1")) == \
-        mask_of(a7, "0", "a", "b", "c", "d")
-    assert canonical_ideal_of(a7, mask_of(a7, "b", "d", "1")) == \
-        mask_of(a7, "0", "a", "c", "e")
-    assert canonical_ideal_of(a7, a7.universe) == a7.universe
-    with pytest.raises(PreconditionError):
-        canonical_ideal_of(a7, mask_of(a7, "a", "b", "c", "d", "e", "1"))
-
-
-def test_ideal_join(a7):
-    down_b = mask_of(a7, "0", "a", "b")
-    down_c = mask_of(a7, "0", "a", "c")
-    assert ideal_join(a7, down_b, down_c) == mask_of(a7, "0", "a", "b", "c", "d")
 
 
 def test_a7_views(a7):

@@ -86,18 +86,6 @@ DIAMOND = (0, 0b001, 0b010, 0b100, 0b111)
 PENTAGON = (0, 0b001, 0b011, 0b100, 0b111)
 
 
-def family_view(name, family):
-    """A family of masks as a lattice: join is the least member over the
-    union, meet the greatest member inside the intersection."""
-    def join(f, g):
-        return min((h for h in family if h & (f | g) == f | g), key=int.bit_count)
-
-    def meet(f, g):
-        return max((h for h in family if h & f & g == h), key=int.bit_count)
-
-    return build_view(name, family, join, meet)
-
-
 def filter_and_alpha_views(algs):
     for alg in algs:
         yield filter_lattice(alg)
@@ -111,11 +99,11 @@ def test_filter_and_alpha_views_are_frames(bundled):
 
 def test_is_distributive_rejects_diamond_view():
     # three atoms under a common top with a common bottom: not distributive
-    assert not is_distributive(family_view("diamond", DIAMOND))
+    assert not is_distributive(build_view("diamond", DIAMOND))
 
 
 def test_is_distributive_matches_subfamily_definition(bundled):
-    views = [family_view("diamond", DIAMOND), family_view("pentagon", PENTAGON),
+    views = [build_view("diamond", DIAMOND), build_view("pentagon", PENTAGON),
              *filter_and_alpha_views([*bundled.values(), *catalog5()])]
     verdicts = [is_distributive(view) for view in views]
     assert verdicts == [bf.is_frame(view.keys) for view in views]

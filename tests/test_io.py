@@ -248,10 +248,19 @@ def test_no_element_names():
         parse_document(GOOD.replace("elements: 0 1", "elements:"))
 
 
-@pytest.mark.parametrize("line", ["label:", "label:   # comment"])
+# The line number and text of each one-value section in GOOD.
+SECTION_LINES = {"label": (1, "label: two"), "bottom": (3, "bottom: 0"), "top": (4, "top: 1")}
+
+
+@pytest.mark.parametrize("line", ["label:", "label:   # comment", "bottom:",
+                                  "bottom:  # none", "top:", "top:   # none"])
 def test_empty_label(line):
-    with pytest.raises(ParseError, match=r"^line 1: empty label$"):
-        parse_document(GOOD.replace("label: two", line))
+    """An empty label, bottom or top line is refused by its key, with or
+    without a comment."""
+    key = line.split(":")[0]
+    lineno, text = SECTION_LINES[key]
+    with pytest.raises(ParseError, match=rf"^line {lineno}: empty {key}$"):
+        parse_document(GOOD.replace(text, line))
 
 
 def test_repeated_element_names():

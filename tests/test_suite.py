@@ -186,6 +186,9 @@ def merged(alg, cong):
     ("coannihilator-pseudocomplement", "pseudocomplement_check",
      lambda a: (mask_of(a, "e", "1"),), lambda a, v: False,
      "fails at perp of {e, 1} is its pseudocomplement"),
+    ("coannihilator-lattice-boolean", "double_coannihilator",
+     lambda a: (mask_of(a, "b", "d", "e", "1"),), lambda a, f: f ^ singleton(a.bottom),
+     "fails at coannulets form a bounded sublattice"),
     ("proper-coannihilators-avoid-dense", "proper_omega_no_dense_check",
      lambda a: (), lambda a, v: False,
      "fails at proper omega filters avoid dense elements"),
